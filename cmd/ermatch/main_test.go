@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,6 +41,49 @@ func runWithArgs(t *testing.T, args ...string) error {
 	flag.CommandLine = flag.NewFlagSet("ermatch", flag.ContinueOnError)
 	os.Args = append([]string{"ermatch"}, args...)
 	return run()
+}
+
+// stdoutOf runs ermatch with args and returns the FNV-1a hash of what it
+// printed to stdout.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = runWithArgs(t, args...)
+	os.Stdout = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(out)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestErmatchOutputPins pins the full stdout of two fixed-threshold runs
+// on the test task: a schema-based char measure over one attribute, and a
+// schema-agnostic token measure over the whole profile text.
+func TestErmatchOutputPins(t *testing.T) {
+	path := writeTask(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-alg", "EXC", "-measure", "Jaro", "-attr", "name", "-t", "0.6", path}, "792336c7da3289db"},
+		{[]string{"-measure", "Jaccard", "-t", "0.5", path}, "afebd5ff2d516996"},
+	} {
+		if got := stdoutOf(t, tc.args...); got != tc.want {
+			t.Errorf("ermatch %v: stdout hash %s, pinned %s", tc.args[:len(tc.args)-1], got, tc.want)
+		}
+	}
 }
 
 func TestErmatchSweep(t *testing.T) {

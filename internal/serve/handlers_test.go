@@ -791,37 +791,82 @@ func TestFamilyGenerationRepCacheHits(t *testing.T) {
 	}
 }
 
-// The single-measure generation prefilters (character signatures, and
-// the length bound under min_sim) are lossless: a server with the
-// representation caches enabled and one with them disabled must emit
-// byte-identical graphs for filtered char measures, thresholded
-// Levenshtein, and (unfiltered) token measures alike.
-func TestGenerateMeasurePrefiltersLossless(t *testing.T) {
-	_, a := newTestServer(t, serve.Config{})
-	_, b := newTestServer(t, serve.Config{RepCacheDatasets: -1})
-	for _, req := range []map[string]any{
-		{"name": "g", "dataset": "D2", "seed": 5, "scale": 0.02, "measure": "Levenshtein", "min_sim": 0.4},
-		{"name": "g2", "dataset": "D2", "seed": 5, "scale": 0.02, "measure": "Jaro"},
-		{"name": "g3", "dataset": "D2", "seed": 5, "scale": 0.02, "measure": "Jaccard"},
-	} {
-		var ra, rb graphInfoJSON
-		if code := doJSON(t, http.MethodPost, a.URL+"/v1/graphs", req, &ra); code != http.StatusCreated {
-			t.Fatalf("server a: status %d for %v", code, req)
+// measurePins are the checksums of single-measure POST /v1/graphs
+// graphs, written down as literals so a rewrite of the builder cannot
+// drift: every SB-SYN measure on D1 (two key attributes, concatenated)
+// and on D2, both at scale 0.02; min_sim 0.4 for the edit measures and
+// Jaccard; and the hot single-measure graph of the serving benchmark.
+var measurePins = []struct {
+	dataset  string
+	seed     int64
+	scale    float64
+	measure  string
+	minSim   float64
+	checksum string
+}{
+	{"D1", 3, 0.02, "Levenshtein", 0, "80ec8edd44a66228"},
+	{"D1", 3, 0.02, "DamerauLevenshtein", 0, "4d3608ea858887be"},
+	{"D1", 3, 0.02, "Jaro", 0, "d95c788a7f4138b3"},
+	{"D1", 3, 0.02, "NeedlemanWunsch", 0, "f9cff47c9972378a"},
+	{"D1", 3, 0.02, "QGramsDistance", 0, "c851ef30d18ce4e8"},
+	{"D1", 3, 0.02, "LongestCommonSubstr", 0, "e22047572cb80561"},
+	{"D1", 3, 0.02, "LongestCommonSubseq", 0, "034606c85444623d"},
+	{"D1", 3, 0.02, "Cosine", 0, "dd91ea682bfe6c5f"},
+	{"D1", 3, 0.02, "BlockDistance", 0, "a981e43d97f0b362"},
+	{"D1", 3, 0.02, "Dice", 0, "d927cb9c435405af"},
+	{"D1", 3, 0.02, "SimonWhite", 0, "8165114ab57871bf"},
+	{"D1", 3, 0.02, "OverlapCoefficient", 0, "7f60324b0c8a9321"},
+	{"D1", 3, 0.02, "Euclidean", 0, "8e160806bcc5288f"},
+	{"D1", 3, 0.02, "Jaccard", 0, "76e9343e2d0904c2"},
+	{"D1", 3, 0.02, "GeneralizedJaccard", 0, "a5ccd57bcb315fd5"},
+	{"D1", 3, 0.02, "MongeElkan", 0, "7eb9abad8da0457e"},
+	{"D1", 3, 0.02, "Levenshtein", 0.4, "2e61e7aab191d494"},
+	{"D1", 3, 0.02, "DamerauLevenshtein", 0.4, "b3263e52b3d8aaff"},
+	{"D1", 3, 0.02, "Jaccard", 0.4, "91b870c44a546116"},
+	{"D2", 5, 0.02, "Levenshtein", 0, "900fe23d72d7cc5f"},
+	{"D2", 5, 0.02, "DamerauLevenshtein", 0, "f1510ce7687ce840"},
+	{"D2", 5, 0.02, "Jaro", 0, "ba4a4295ed825623"},
+	{"D2", 5, 0.02, "NeedlemanWunsch", 0, "6895fcdd994b5fa1"},
+	{"D2", 5, 0.02, "QGramsDistance", 0, "0973bfdcb1265d33"},
+	{"D2", 5, 0.02, "LongestCommonSubstr", 0, "143bd0f1fe8d6213"},
+	{"D2", 5, 0.02, "LongestCommonSubseq", 0, "ceb4ddacb5ba2610"},
+	{"D2", 5, 0.02, "Cosine", 0, "557066ffcebd7e8c"},
+	{"D2", 5, 0.02, "BlockDistance", 0, "b1913c74f66abb2e"},
+	{"D2", 5, 0.02, "Dice", 0, "a6f4b89985aa7dc6"},
+	{"D2", 5, 0.02, "SimonWhite", 0, "a6f4b89985aa7dc6"},
+	{"D2", 5, 0.02, "OverlapCoefficient", 0, "cd9d921e9b80ed90"},
+	{"D2", 5, 0.02, "Euclidean", 0, "a3d16a1a75b377f4"},
+	{"D2", 5, 0.02, "Jaccard", 0, "1c3fe8fc300e46ec"},
+	{"D2", 5, 0.02, "GeneralizedJaccard", 0, "1c3fe8fc300e46ec"},
+	{"D2", 5, 0.02, "MongeElkan", 0, "a1a9415de290003b"},
+	{"D2", 5, 0.02, "Levenshtein", 0.4, "983422304ac14e9b"},
+	{"D2", 5, 0.02, "DamerauLevenshtein", 0.4, "c4527b0b82c283b7"},
+	{"D2", 5, 0.02, "Jaccard", 0.4, "cab8bd1fda58ab58"},
+	{"D2", 1, 0.5, "Jaccard", 0, "6449d1b4ee4f0dd6"},
+}
+
+// TestGenerateMeasurePins regenerates every pinned graph through the
+// service and compares its checksum with the literal.
+func TestGenerateMeasurePins(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	for k, p := range measurePins {
+		var info graphInfoJSON
+		req := map[string]any{"name": fmt.Sprintf("pin%d", k), "dataset": p.dataset,
+			"seed": p.seed, "scale": p.scale, "measure": p.measure, "min_sim": p.minSim}
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/graphs", req, &info); code != http.StatusCreated {
+			t.Fatalf("%v: status %d", req, code)
 		}
-		if code := doJSON(t, http.MethodPost, b.URL+"/v1/graphs", req, &rb); code != http.StatusCreated {
-			t.Fatalf("server b: status %d for %v", code, req)
-		}
-		if ra.Checksum != rb.Checksum || ra.Edges != rb.Edges {
-			t.Fatalf("%v: checksum/edges diverge: %s/%d vs %s/%d",
-				req, ra.Checksum, ra.Edges, rb.Checksum, rb.Edges)
+		if info.Checksum != p.checksum {
+			t.Errorf("%s seed %d scale %g %s min_sim %g: checksum %s, pinned %s",
+				p.dataset, p.seed, p.scale, p.measure, p.minSim, info.Checksum, p.checksum)
 		}
 	}
 	// The single-measure path feeds the same skip-ratio counters as
-	// family mode (visited always; skipped whenever a prefilter fires).
+	// family mode.
 	var metrics struct {
 		Visited map[string]int64 `json:"generate_pairs_visited_total"`
 	}
-	if code := doJSON(t, http.MethodGet, a.URL+"/metrics", nil, &metrics); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &metrics); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if metrics.Visited["SB-SYN"] == 0 {
