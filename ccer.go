@@ -33,6 +33,7 @@ package ccer
 import (
 	"context"
 	"fmt"
+	"iter"
 	"time"
 
 	"github.com/ccer-go/ccer/internal/algo"
@@ -172,20 +173,6 @@ func (o Options) seed() int64 {
 	return o.Seed
 }
 
-// matchersByName resolves algorithm names, failing on the first unknown
-// one.
-func matchersByName(algorithms []string, seed int64) ([]Matcher, error) {
-	ms := make([]Matcher, len(algorithms))
-	for i, name := range algorithms {
-		m, err := NewMatcher(name, seed)
-		if err != nil {
-			return nil, err
-		}
-		ms[i] = m
-	}
-	return ms, nil
-}
-
 // SweepAll tunes every named algorithm on the graph, fanning the full
 // (algorithm × threshold) grid over opts.Parallelism workers. Results
 // come back in input order with sweep points in threshold order, and are
@@ -194,9 +181,9 @@ func matchersByName(algorithms []string, seed int64) ([]Matcher, error) {
 // stay sequential inside one worker so SweepResult.Runtime remains a
 // per-execution mean.
 func SweepAll(g *Graph, gt *GroundTruth, algorithms []string, opts Options) ([]SweepResult, error) {
-	ms, err := matchersByName(algorithms, opts.seed())
+	ms, err := algo.AllByName(algorithms, opts.seed())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ccer: %w", err)
 	}
 	results := eval.SweepAllOpts(g, gt, ms, eval.SweepOptions{
 		Repeats:     opts.Repeats,
@@ -223,9 +210,9 @@ type MatchResult struct {
 // on exactly one worker, so the pairs are identical to len(algorithms)
 // sequential Match calls.
 func MatchConcurrent(g *Graph, algorithms []string, t float64, opts Options) ([]MatchResult, error) {
-	ms, err := matchersByName(algorithms, opts.seed())
+	ms, err := algo.AllByName(algorithms, opts.seed())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ccer: %w", err)
 	}
 	out := make([]MatchResult, len(ms))
 	// ms is private to this call and each index runs on exactly one
@@ -261,12 +248,25 @@ func TokenJaccard(a, b string) float64 {
 // For large collections prefer the representation-model pipelines (see
 // GenerateGraphs), which use inverted indexes instead of all pairs.
 func BuildGraph(texts1, texts2 []string, sim SimilarityFunc, minSim float64) (*Graph, error) {
-	b := graph.NewBuilder(len(texts1), len(texts2))
-	for i, s := range texts1 {
-		for j, d := range texts2 {
-			if w := sim(s, d); w > minSim {
-				b.Add(int32(i), int32(j), w)
+	return scorePairs(texts1, texts2, sim, minSim, func(yield func(i, j int32) bool) {
+		for i := range texts1 {
+			for j := range texts2 {
+				if !yield(int32(i), int32(j)) {
+					return
+				}
 			}
+		}
+	})
+}
+
+// scorePairs is the pair loop of the graph builders that take a user
+// similarity function: sim over each (i, j) pairs yields, in order,
+// keeping scores above minSim.
+func scorePairs(texts1, texts2 []string, sim SimilarityFunc, minSim float64, pairs iter.Seq2[int32, int32]) (*Graph, error) {
+	b := graph.NewBuilder(len(texts1), len(texts2))
+	for i, j := range pairs {
+		if w := sim(texts1[i], texts2[j]); w > minSim {
+			b.Add(i, j, w)
 		}
 	}
 	return b.Build()

@@ -18,16 +18,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
-	"github.com/ccer-go/ccer/internal/core"
+	"github.com/ccer-go/ccer/internal/algo"
 	"github.com/ccer-go/ccer/internal/dataset"
 	"github.com/ccer-go/ccer/internal/eval"
-	"github.com/ccer-go/ccer/internal/graph"
-	"github.com/ccer-go/ccer/internal/strsim"
+	"github.com/ccer-go/ccer/internal/simgraph"
 )
 
 func main() {
@@ -38,12 +37,12 @@ func main() {
 }
 
 func run() error {
-	alg := flag.String("alg", "UMC", "algorithm: CNC,RSR,RCA,BAH,BMC,EXC,KRC,UMC,HUN,AUC")
+	alg := flag.String("alg", "UMC", "algorithm: CNC,RSR,RCA,BAH,BMC,EXC,KRC,UMC,HUN,AUC,QLM")
 	measure := flag.String("measure", "Jaccard", "string similarity measure")
 	attr := flag.String("attr", "", "attribute to compare (default: all values)")
 	t := flag.Float64("t", 0.5, "similarity threshold")
 	sweep := flag.Bool("sweep", false, "tune the threshold on the grid 0.05..1.00")
-	seed := flag.Int64("seed", 1, "seed for the stochastic BAH algorithm")
+	seed := flag.Int64("seed", 1, "seed for the stochastic BAH and QLM algorithms")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("need exactly one task file")
@@ -59,18 +58,12 @@ func run() error {
 		return err
 	}
 
-	sim, ok := strsim.AllMeasures()[*measure]
-	if !ok {
-		names := make([]string, 0, 16)
-		for n := range strsim.AllMeasures() {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("unknown measure %q; have %v", *measure, names)
+	if err := simgraph.CheckMeasure(*measure); err != nil {
+		return err
 	}
-	matcher := core.ByName(*alg, *seed)
-	if matcher == nil {
-		return fmt.Errorf("unknown algorithm %q", *alg)
+	matcher, err := algo.ByName(*alg, *seed)
+	if err != nil {
+		return err
 	}
 
 	var texts1, texts2 []string
@@ -82,25 +75,10 @@ func run() error {
 		texts2 = task.V2.Texts()
 	}
 
-	b := graph.NewBuilder(len(texts1), len(texts2))
-	for i, s := range texts1 {
-		if s == "" {
-			continue
-		}
-		for j, d := range texts2 {
-			if d == "" {
-				continue
-			}
-			if w := sim(s, d); w > 0 {
-				b.Add(int32(i), int32(j), w)
-			}
-		}
-	}
-	g, err := b.Build()
+	g, _, err := simgraph.MeasureGraph(context.Background(), texts1, texts2, *measure, 0, 0)
 	if err != nil {
 		return err
 	}
-	g = g.NormalizeMinMax()
 	fmt.Printf("graph: |V1|=%d |V2|=%d |E|=%d (density %.1f%%)\n",
 		g.N1(), g.N2(), g.NumEdges(), 100*g.Density())
 

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ccer-go/ccer/internal/datagen"
@@ -43,8 +44,8 @@ func runWithArgs(t *testing.T, args ...string) error {
 	return run()
 }
 
-// stdoutOf runs ermatch with args and returns the FNV-1a hash of what it
-// printed to stdout.
+// stdoutOf runs ermatch with args and returns what it printed to
+// stdout.
 func stdoutOf(t *testing.T, args ...string) string {
 	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "stdout")
@@ -63,9 +64,7 @@ func stdoutOf(t *testing.T, args ...string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	h.Write(out)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return string(out)
 }
 
 // TestErmatchOutputPins pins the full stdout of two fixed-threshold runs
@@ -80,9 +79,21 @@ func TestErmatchOutputPins(t *testing.T) {
 		{[]string{"-alg", "EXC", "-measure", "Jaro", "-attr", "name", "-t", "0.6", path}, "792336c7da3289db"},
 		{[]string{"-measure", "Jaccard", "-t", "0.5", path}, "afebd5ff2d516996"},
 	} {
-		if got := stdoutOf(t, tc.args...); got != tc.want {
+		h := fnv.New64a()
+		h.Write([]byte(stdoutOf(t, tc.args...)))
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.want {
 			t.Errorf("ermatch %v: stdout hash %s, pinned %s", tc.args[:len(tc.args)-1], got, tc.want)
 		}
+	}
+}
+
+// TestErmatchQLM: -alg resolves through the shared algorithm registry,
+// so the Q-learning matcher the library and erserve accept runs here
+// too.
+func TestErmatchQLM(t *testing.T) {
+	out := stdoutOf(t, "-alg", "QLM", "-measure", "Jaccard", "-t", "0.5", writeTask(t))
+	if !strings.Contains(out, "QLM at t=0.50:") {
+		t.Fatalf("QLM run printed:\n%s", out)
 	}
 }
 

@@ -3,9 +3,9 @@
 // positive, so similarity-graph generation (internal/simgraph) can skip
 // kernel work on the rest of the n1×n2 space with byte-identical output.
 //
-// Three families of filters live here:
+// Two families of filters live here:
 //
-//   - Character signatures (Sig, Sig128): each rune of a string hashes to
+//   - Character signatures (Sig128): each rune of a string hashes to
 //     one bit. Disjoint signatures imply disjoint alphabets, and two
 //     strings over disjoint alphabets score exactly 0 on Levenshtein,
 //     Damerau-Levenshtein, Jaro, q-grams distance, the two LCS variants,
@@ -16,12 +16,6 @@
 //     with the paper's scoring (match 0, mismatch -1, gap -2) a
 //     disjoint-alphabet pair still scores min/(2·max) > 0, so NW must
 //     stay dense.
-//
-//   - Length bounds (LengthBound): an upper bound on the normalized edit
-//     similarities from the length difference alone, for pipelines that
-//     prune below a positive threshold (the generation pipeline keeps
-//     every positive pair, so this only applies to thresholded callers
-//     like erserve's min_sim graphs).
 //
 //   - Token postings (TokenIndex): a CSR inverted index over one
 //     collection's token lists, reusing the vector package's postings
@@ -36,44 +30,18 @@ import (
 	"github.com/ccer-go/ccer/internal/vector"
 )
 
-// Sig is a 64-bit character signature: one bit per hashed rune bucket.
-type Sig uint64
-
 // sigBucket hashes a rune onto a bucket in [0, 128): a Fibonacci-hash
 // spread so that dense ASCII ranges do not pile onto neighbouring bits.
 func sigBucket(r rune) uint32 { return uint32(r) * 0x9E3779B1 >> 25 }
 
-// SigOf returns the 64-bit signature of the text's runes.
-func SigOf(text string) Sig {
-	var s Sig
-	for _, r := range text {
-		s |= 1 << (sigBucket(r) & 63)
-	}
-	return s
-}
-
-// Intersects reports whether the two signatures share a bucket. False
-// guarantees the underlying alphabets are disjoint.
-func (s Sig) Intersects(o Sig) bool { return s&o != 0 }
-
-// Sig128 is the 128-bit variant of Sig, halving bucket collisions for
-// the price of one extra word per test.
+// Sig128 is a 128-bit character signature: one bit per hashed rune
+// bucket.
 type Sig128 [2]uint64
 
 // Sig128Of returns the 128-bit signature of the text's runes.
 func Sig128Of(text string) Sig128 {
 	var s Sig128
 	for _, r := range text {
-		b := sigBucket(r)
-		s[b>>6&1] |= 1 << (b & 63)
-	}
-	return s
-}
-
-// Sig128OfRunes is Sig128Of over a pre-converted rune slice.
-func Sig128OfRunes(rs []rune) Sig128 {
-	var s Sig128
-	for _, r := range rs {
 		b := sigBucket(r)
 		s[b>>6&1] |= 1 << (b & 63)
 	}
@@ -95,7 +63,8 @@ func Sig128OfTokens(tokens []string) Sig128 {
 	return s
 }
 
-// Intersects reports whether the two signatures share a bucket.
+// Intersects reports whether the two signatures share a bucket. False
+// guarantees the underlying alphabets are disjoint.
 func (s Sig128) Intersects(o Sig128) bool {
 	return s[0]&o[0] != 0 || s[1]&o[1] != 0
 }
@@ -110,40 +79,6 @@ func Sig128All(texts []string) []Sig128 {
 		out[i] = Sig128Of(t)
 	}
 	return out
-}
-
-// LengthBound returns an upper bound on the normalized edit similarity
-// 1 - d(a,b)/max(|a|,|b|) of any two strings with rune lengths m and n,
-// for every distance d with d(a,b) >= ||a|-|b|| (Levenshtein and
-// Damerau-Levenshtein both qualify: each edit changes the length by at
-// most one). Both lengths zero bound the similarity by 1. The bound is
-// exact for pruning below a positive threshold t: LengthBound(m,n) <= t
-// implies sim <= t; it is NOT a zero-score filter (the bound is positive
-// whenever min(m,n) > 0).
-func LengthBound(m, n int) float64 {
-	if m < n {
-		m, n = n, m
-	}
-	if m == 0 {
-		return 1
-	}
-	return 1 - float64(m-n)/float64(m)
-}
-
-// SigZeroMeasures returns the strsim.AllMeasures names for which a
-// disjoint raw-rune signature proves similarity exactly 0, so callers
-// applying the Sig/Sig128 prefilter stay lossless. Needleman-Wunsch is
-// excluded (positive for every non-empty pair under the paper's
-// scoring), and so are all token measures (their both-token-less case
-// is defined as 1, which raw signatures cannot see). The list is
-// asserted against the live measure set and the zero property by the
-// package tests, so a renamed or newly unsound measure fails loudly
-// instead of silently disabling or corrupting the filter.
-func SigZeroMeasures() []string {
-	return []string{
-		"Levenshtein", "DamerauLevenshtein", "Jaro", "QGramsDistance",
-		"LongestCommonSubstr", "LongestCommonSubseq",
-	}
 }
 
 // TokenIndex is a CSR inverted index over the token lists of one entity

@@ -31,18 +31,21 @@ func TestSigZeroScoreProperty(t *testing.T) {
 	left := []rune("abcdeABCDE 123日本")
 	right := []rune("vwxyzVWXYZ 789éü")
 	both := append(append([]rune{}, left...), right...)
-	// The covered char measures come from the exported soundness table,
-	// resolved against the LIVE measure registry: a renamed measure or a
-	// table entry with no registered function fails here, so the table
-	// serving the erserve prefilter cannot drift silently.
+	// The covered char measures are every character measure but
+	// Needleman-Wunsch, resolved against the LIVE measure registry, so a
+	// renamed measure fails here instead of leaving the property
+	// untested.
 	charMeasures := map[string]func(a, b string) float64{
 		"SmithWaterman": strsim.SmithWaterman, // Monge-Elkan's core, not in AllMeasures
 	}
 	all := strsim.AllMeasures()
-	for _, name := range SigZeroMeasures() {
+	for _, name := range []string{
+		"Levenshtein", "DamerauLevenshtein", "Jaro", "QGramsDistance",
+		"LongestCommonSubstr", "LongestCommonSubseq",
+	} {
 		f, ok := all[name]
 		if !ok {
-			t.Fatalf("SigZeroMeasures lists %q, which strsim.AllMeasures does not provide", name)
+			t.Fatalf("strsim.AllMeasures does not provide %q", name)
 		}
 		charMeasures[name] = f
 	}
@@ -68,22 +71,10 @@ func TestSigZeroScoreProperty(t *testing.T) {
 				}
 			}
 		}
-		// The folded 64-bit signature is coarser but equally lossless:
-		// 64-bit disjoint implies a shared char is impossible too.
-		if !SigOf(a).Intersects(SigOf(b)) {
-			if Sig128Of(a).Intersects(Sig128Of(b)) {
-				t.Fatalf("Sig disjoint but Sig128 intersecting for (%q,%q): 64-bit folding unsound", a, b)
-			}
-			for name, f := range charMeasures {
-				if sim := f(a, b); sim != 0 {
-					t.Fatalf("%s(%q,%q) = %v with disjoint 64-bit signatures", name, a, b, sim)
-				}
-			}
-		}
 		ta, tb := strsim.Tokenize(a), strsim.Tokenize(b)
 		if !Sig128OfTokens(ta).Intersects(Sig128OfTokens(tb)) && !(len(ta) == 0 && len(tb) == 0) {
 			tokDisjointSeen++
-			sims := strsim.TokenSims(strsim.NewTokenProfile(ta), strsim.NewTokenProfile(tb), nil)
+			sims := strsim.TokenSims(strsim.NewTokenProfile(ta), strsim.NewTokenProfile(tb), 1<<9-1, nil)
 			for k, sim := range sims {
 				if sim != 0 {
 					t.Fatalf("token measure %d of (%q,%q) = %v with disjoint token signatures", k, a, b, sim)
@@ -101,27 +92,6 @@ func TestSigZeroScoreProperty(t *testing.T) {
 func TestSigDoesNotCoverNeedlemanWunsch(t *testing.T) {
 	if sim := strsim.NeedlemanWunsch("abc", "xy"); math.Abs(sim-1.0/3.0) > 1e-12 || sim <= 0 {
 		t.Fatalf("NW(abc,xy) = %v, want min/(2·max) = 1/3", sim)
-	}
-}
-
-func TestLengthBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	alphabet := []rune("abcdef")
-	for iter := 0; iter < 2000; iter++ {
-		a, b := randText(rng, alphabet), randText(rng, alphabet)
-		bound := LengthBound(len([]rune(a)), len([]rune(b)))
-		if sim := strsim.Levenshtein(a, b); sim > bound {
-			t.Fatalf("Levenshtein(%q,%q) = %v above LengthBound %v", a, b, sim, bound)
-		}
-		if sim := strsim.DamerauLevenshtein(a, b); sim > bound {
-			t.Fatalf("Damerau(%q,%q) = %v above LengthBound %v", a, b, sim, bound)
-		}
-	}
-	if LengthBound(0, 0) != 1 {
-		t.Fatal("LengthBound(0,0) != 1")
-	}
-	if LengthBound(3, 0) != 0 {
-		t.Fatal("LengthBound(3,0) != 0")
 	}
 }
 

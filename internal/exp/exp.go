@@ -51,10 +51,6 @@ type Config struct {
 	// Run-time measurements pick up scheduler noise under parallelism,
 	// so use 1 when timing.
 	Parallelism int
-	// DenseGeneration routes similarity-graph generation through the
-	// dense reference path (no candidate pruning); output is byte-
-	// identical — it exists for equivalence runs.
-	DenseGeneration bool
 	// RepCaches, when non-nil, lets repeated corpus builds share the
 	// cross-build representation caches (byte-identical output; the
 	// caches are pure-function memoization).
@@ -199,7 +195,6 @@ func BuildCorpusCtx(ctx context.Context, cfg Config) (*Corpus, error) {
 			simgraph.Options{
 				Families:    cfg.Families,
 				Parallelism: cfg.Parallelism,
-				Dense:       cfg.DenseGeneration,
 				Caches:      cfg.RepCaches,
 			})
 		for _, f := range simgraph.Families() {

@@ -126,6 +126,8 @@ func TestPromtestRejectsMalformed(t *testing.T) {
 		{"non-cumulative histogram", "# HELP h h\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n"},
 		{"histogram missing +Inf", "# HELP h h\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_count 5\n"},
 		{"bad value", "# HELP x h\n# TYPE x counter\nx one\n"},
+		{"unterminated label value", "# HELP x h\n# TYPE x counter\nx{a=\"b} 1\n"},
+		{"text after the label block", "# HELP x h\n# TYPE x counter\nx{a=\"}\"}b=\"c\"} 1\n"},
 	}
 	for _, c := range bad {
 		if _, err := promtest.Parse(c.text); err == nil {

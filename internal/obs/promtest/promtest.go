@@ -20,7 +20,8 @@ type Sample struct {
 	// suffixes for histogram series).
 	Name string
 	// Labels is the raw label block without braces ("" when absent),
-	// normalized enough for use as a series key.
+	// normalized enough for use as a series key. Label values may hold
+	// braces: the block ends at the first '}' outside a quoted value.
 	Labels string
 	Value  float64
 }
@@ -44,7 +45,7 @@ type Scrape struct {
 
 var (
 	nameRe   = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	sampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{([^}]*)\})?\s+(\S+)$`)
+	sampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{((?:[^}"]|"(?:[^"\\]|\\.)*")*)\})?\s+(\S+)$`)
 	labelRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$`)
 )
 

@@ -15,16 +15,13 @@ import (
 	"time"
 
 	"github.com/ccer-go/ccer/internal/algo"
-	"github.com/ccer-go/ccer/internal/blocking"
 	"github.com/ccer-go/ccer/internal/core"
 	"github.com/ccer-go/ccer/internal/datagen"
 	"github.com/ccer-go/ccer/internal/eval"
 	"github.com/ccer-go/ccer/internal/graph"
 	"github.com/ccer-go/ccer/internal/obs"
-	"github.com/ccer-go/ccer/internal/par"
 	"github.com/ccer-go/ccer/internal/resilience"
 	"github.com/ccer-go/ccer/internal/simgraph"
-	"github.com/ccer-go/ccer/internal/strsim"
 )
 
 func (s *Server) routes() {
@@ -595,23 +592,35 @@ func (s *Server) serveGenerate(w http.ResponseWriter, r *http.Request, req gener
 // the cap) are rendered replies — shared with coalesced callers like any
 // other result — while cancellation surfaces as an error.
 func (s *Server) generateMeasureReply(ctx context.Context, trace *obs.Trace, req generateRequest) (*genReply, error) {
-	endGen := trace.StartSpan("generate/" + string(simgraph.SBSyn))
-	start := time.Now()
-	e, visited, skipped, err := generateGraph(ctx, req, s.cfg.MaxGraphNodes, s.cfg.Parallelism)
-	endGen()
+	spec, attrs, err := s.generateTarget(req, simgraph.CheckMeasure(req.Measure))
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err // deadline or abandonment, not a bad request
-		}
 		return renderJSON(http.StatusBadRequest, errorReply{Error: err.Error()}), nil
 	}
+	endGen := trace.StartSpan("generate/" + string(simgraph.SBSyn))
+	start := time.Now()
+	task := spec.Generate(req.Seed, req.Scale)
+	g, fs, err := simgraph.MeasureGraph(ctx, task.V1.AttrTexts(attrs...), task.V2.AttrTexts(attrs...),
+		req.Measure, req.MinSim, s.cfg.Parallelism)
+	endGen()
+	if err != nil {
+		return nil, err // the measure is valid, so only cancellation is left
+	}
 	// Every single-measure string similarity is a schema-based
-	// syntactic weight, the paper's SB-SYN family; its prefilter
-	// counters feed the same skip-ratio metrics as family mode.
+	// syntactic weight, the paper's SB-SYN family; its filter counters
+	// feed the same skip-ratio metrics as family mode.
 	elapsed := time.Since(start)
-	s.gen.recordStats(e.Dataset, string(simgraph.SBSyn), elapsed, visited, skipped)
+	s.gen.recordStats(spec.ID, string(simgraph.SBSyn), elapsed, fs.Visited, fs.Skipped)
 	s.genDur.With(string(simgraph.SBSyn)).Observe(elapsed)
-	entry, err := s.store.Put(e)
+	entry, err := s.store.Put(&GraphEntry{
+		Name:     req.Name,
+		Graph:    g,
+		GT:       task.GT,
+		Checksum: g.Checksum(),
+		Source:   "generate",
+		Dataset:  spec.ID,
+		Seed:     req.Seed,
+		Scale:    req.Scale,
+	})
 	if err != nil {
 		// The graph did not commit; acknowledging it would promise a
 		// durability the restart cannot honor.
@@ -620,6 +629,34 @@ func (s *Server) generateMeasureReply(ctx context.Context, trace *obs.Trace, req
 	s.persistWarmReps()
 	s.graphsCreated.Inc()
 	return renderJSON(http.StatusCreated, infoOf(entry)), nil
+}
+
+// generateTarget is the step both generation modes share: it resolves
+// the dataset spec, rejects a negative scale, and enforces the node cap
+// on the predicted sizes, before anything is generated. modeErr is the
+// mode's own validation result, reported between the scale and the cap
+// checks. attrs are the request's attributes, or the dataset's key
+// attributes.
+func (s *Server) generateTarget(req generateRequest, modeErr error) (spec datagen.Spec, attrs []string, err error) {
+	spec, err = datagen.SpecByID(req.Dataset)
+	if err != nil {
+		return spec, nil, err
+	}
+	if req.Scale < 0 {
+		return spec, nil, fmt.Errorf("negative scale %g", req.Scale)
+	}
+	if modeErr != nil {
+		return spec, nil, modeErr
+	}
+	if n1, n2 := spec.ScaledSizes(req.Scale); s.cfg.MaxGraphNodes > 0 && n1+n2 > s.cfg.MaxGraphNodes {
+		return spec, nil, fmt.Errorf("scale %g yields %d entities, above the cap of %d",
+			req.Scale, n1+n2, s.cfg.MaxGraphNodes)
+	}
+	attrs = req.Attrs
+	if len(attrs) == 0 {
+		attrs = spec.KeyAttrs
+	}
+	return spec, attrs, nil
 }
 
 // generateFamilyReply is the family mode of POST /v1/graphs: one
@@ -644,23 +681,11 @@ func (s *Server) generateFamilyReply(ctx context.Context, trace *obs.Trace, req 
 		return renderJSON(http.StatusBadRequest, errorReply{
 			Error: fmt.Sprintf("unknown family %q; have %v", req.Family, simgraph.Families())}), nil
 	}
-	spec, err := datagen.SpecByID(req.Dataset)
+	spec, attrs, err := s.generateTarget(req, nil)
 	if err != nil {
 		return renderJSON(http.StatusBadRequest, errorReply{Error: err.Error()}), nil
 	}
 	seed, scale := req.Seed, req.Scale
-	if scale < 0 {
-		return renderJSON(http.StatusBadRequest,
-			errorReply{Error: fmt.Sprintf("negative scale %g", scale)}), nil
-	}
-	if n1, n2 := spec.ScaledSizes(scale); s.cfg.MaxGraphNodes > 0 && n1+n2 > s.cfg.MaxGraphNodes {
-		return renderJSON(http.StatusBadRequest, errorReply{Error: fmt.Sprintf(
-			"scale %g yields %d entities, above the cap of %d", scale, n1+n2, s.cfg.MaxGraphNodes)}), nil
-	}
-	attrs := req.Attrs
-	if len(attrs) == 0 {
-		attrs = spec.KeyAttrs
-	}
 	base := req.Name
 	if base == "" {
 		base = spec.ID + "-" + string(family)
@@ -715,145 +740,6 @@ func (s *Server) generateFamilyReply(ctx context.Context, trace *obs.Trace, req 
 	s.persistWarmReps()
 	s.graphsCreated.Add(int64(len(infos)))
 	return renderJSON(http.StatusCreated, map[string]any{"family": string(family), "graphs": infos}), nil
-}
-
-// generateGraph builds a stored graph entry from a generation request:
-// synthetic task -> schema-based texts -> string similarity graph,
-// min-max normalized, with the task's ground truth attached. maxNodes
-// caps the generated collection sizes (<= 0 means no cap). The pairwise
-// similarity loop fans its rows over parallelism workers (par.Workers
-// semantics) with slot-ordered assembly, so the graph is identical at
-// any setting; ctx cancellation trips the pool's stop hook between rows
-// and the partial build is discarded.
-func generateGraph(ctx context.Context, req generateRequest, maxNodes, parallelism int) (entry *GraphEntry, visited, skipped int64, err error) {
-	spec, err := datagen.SpecByID(req.Dataset)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	seed := normSeed(req.Seed)
-	scale := req.Scale
-	if scale == 0 {
-		scale = 0.02
-	}
-	if scale < 0 {
-		return nil, 0, 0, fmt.Errorf("negative scale %g", scale)
-	}
-	measureName := req.Measure
-	if measureName == "" {
-		measureName = "Jaccard"
-	}
-	sim, ok := strsim.AllMeasures()[measureName]
-	if !ok {
-		names := make([]string, 0, 16)
-		for n := range strsim.AllMeasures() {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, 0, 0, fmt.Errorf("unknown measure %q; have %v", measureName, names)
-	}
-	attrs := req.Attrs
-	if len(attrs) == 0 {
-		attrs = spec.KeyAttrs
-	}
-
-	// Enforce the node cap on the predicted sizes, before Generate
-	// materializes (and pays for) the dataset.
-	if n1, n2 := spec.ScaledSizes(scale); maxNodes > 0 && n1+n2 > maxNodes {
-		return nil, 0, 0, fmt.Errorf("scale %g yields %d entities, above the cap of %d", scale, n1+n2, maxNodes)
-	}
-	task := spec.Generate(seed, scale)
-	texts1 := task.V1.AttrTexts(attrs...)
-	texts2 := task.V2.AttrTexts(attrs...)
-	type edge struct {
-		j int32
-		w float64
-	}
-	// Lossless prefilters from internal/blocking: character signatures
-	// skip pairs that provably score 0 on the measure (disjoint
-	// alphabets — sound for every char measure except Needleman-Wunsch,
-	// and unsound for token measures, whose both-token-less case is
-	// defined as 1), and the length bound skips pairs whose edit
-	// similarity cannot exceed a positive MinSim. Both only ever remove
-	// edges the w > MinSim && w > 0 cut would drop anyway.
-	sigZero := false
-	for _, name := range blocking.SigZeroMeasures() {
-		if name == measureName {
-			sigZero = true
-		}
-	}
-	lenBounded := measureName == "Levenshtein" || measureName == "DamerauLevenshtein"
-	var sigs1, sigs2 []blocking.Sig128
-	var lens1, lens2 []int
-	if sigZero {
-		sigs1, sigs2 = blocking.Sig128All(texts1), blocking.Sig128All(texts2)
-	}
-	if lenBounded && req.MinSim > 0 {
-		runeLens := func(texts []string) []int {
-			out := make([]int, len(texts))
-			for i, t := range texts {
-				out[i] = len([]rune(t))
-			}
-			return out
-		}
-		lens1, lens2 = runeLens(texts1), runeLens(texts2)
-	}
-	rows := make([][]edge, len(texts1))
-	workers := par.Workers(parallelism)
-	visitedW := make([]int64, workers)
-	skippedW := make([]int64, workers)
-	par.For(len(texts1), workers, stopFunc(ctx), func(w, i int) {
-		t1 := texts1[i]
-		if t1 == "" {
-			return
-		}
-		var row []edge
-		for j, t2 := range texts2 {
-			if t2 == "" {
-				continue
-			}
-			if sigZero && !sigs1[i].Intersects(sigs2[j]) {
-				skippedW[w]++
-				continue // provably sim == 0
-			}
-			if lens1 != nil && blocking.LengthBound(lens1[i], lens2[j]) <= req.MinSim {
-				skippedW[w]++
-				continue // provably sim <= MinSim
-			}
-			visitedW[w]++
-			if v := sim(t1, t2); v > req.MinSim && v > 0 {
-				row = append(row, edge{int32(j), v})
-			}
-		}
-		rows[i] = row
-	})
-	for w := 0; w < workers; w++ {
-		visited += visitedW[w]
-		skipped += skippedW[w]
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, 0, 0, ctx.Err()
-	}
-	b := graph.NewBuilder(len(texts1), len(texts2))
-	for i, row := range rows {
-		for _, e := range row {
-			b.Add(int32(i), e.j, e.w)
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	g = g.NormalizeMinMax()
-	return &GraphEntry{
-		Name:     req.Name,
-		Graph:    g,
-		GT:       task.GT,
-		Checksum: g.Checksum(),
-		Source:   "generate",
-		Dataset:  spec.ID,
-		Seed:     seed,
-		Scale:    scale,
-	}, visited, skipped, nil
 }
 
 // syncInfo is the cheap per-name sync view of ?fields=sync: just the

@@ -52,6 +52,30 @@ func scrapeProm(t *testing.T, base string) *promtest.Scrape {
 	return s
 }
 
+// TestPrometheusScrapeRoutePatterns: after a GET and a DELETE of
+// /v1/graphs/{name}, the route label holds the mux pattern's braces
+// inside its quoted value; the scrape must still parse, with the label
+// block kept raw.
+func TestPrometheusScrapeRoutePatterns(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	generateD2(t, ts.URL, "d2")
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/graphs/d2", nil, nil); code != http.StatusOK {
+		t.Fatalf("get: status %d", code)
+	}
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/d2", nil, nil); code != http.StatusOK {
+		t.Fatalf("delete: status %d", code)
+	}
+	routes := map[string]float64{}
+	for _, smp := range scrapeProm(t, ts.URL).Families["ccer_http_requests_by_route_total"].Samples {
+		routes[smp.Labels] = smp.Value
+	}
+	for _, want := range []string{`route="GET /v1/graphs/{name...}"`, `route="DELETE /v1/graphs/{name...}"`} {
+		if routes[want] != 1 {
+			t.Errorf("series %s = %v, want 1 (have %v)", want, routes[want], routes)
+		}
+	}
+}
+
 // TestPrometheusScrape is the exposition acceptance test: after a
 // generate + match workload on a durable server, the Prometheus view
 // must parse cleanly, cover every counter the JSON /metrics reports,

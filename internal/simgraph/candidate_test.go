@@ -1,11 +1,17 @@
 package simgraph
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/ccer-go/ccer/internal/dataset"
+	"github.com/ccer-go/ccer/internal/embed"
+	"github.com/ccer-go/ccer/internal/graph"
+	"github.com/ccer-go/ccer/internal/strsim"
+	"github.com/ccer-go/ccer/internal/vector"
 )
 
 // adversarialTask exercises every filter edge: empty texts (skipped
@@ -84,7 +90,7 @@ func compareRuns(t *testing.T, want, got []SimGraph, label string) {
 			t.Fatalf("%s: unexpected graph %s", label, key)
 		}
 		if sg.G.Checksum() != ref {
-			t.Fatalf("%s: graph %d (%s) checksum %016x != dense %016x", label, k, key, sg.G.Checksum(), ref)
+			t.Fatalf("%s: graph %d (%s) checksum %016x != seed pipeline %016x", label, k, key, sg.G.Checksum(), ref)
 		}
 		if want[k].Name != sg.Name || want[k].Family != sg.Family {
 			t.Fatalf("%s: graph order diverged at %d: %s vs %s", label, k, sg.Name, want[k].Name)
@@ -92,11 +98,11 @@ func compareRuns(t *testing.T, want, got []SimGraph, label string) {
 	}
 }
 
-// TestCandidateVsDenseAllFamilies proves the tentpole claim: the
-// candidate-driven kernels emit byte-identical graphs (graph.Checksum)
-// to the dense reference for all four families, on a generated dataset
-// and on the adversarial task, at several worker counts (run under
-// -race in CI).
+// TestCandidateVsDenseAllFamilies proves the candidate-driven kernels
+// emit byte-identical graphs (graph.Checksum) to the seed pipeline's
+// dense loops (slowGenerate) for all four families, on a generated
+// dataset and on the adversarial task, at several worker counts (run
+// under -race in CI).
 func TestCandidateVsDenseAllFamilies(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -106,11 +112,9 @@ func TestCandidateVsDenseAllFamilies(t *testing.T) {
 		{"adversarial", adversarialTask()},
 	} {
 		opts := Options{KeepNoMatchGraphs: true}
-		denseOpts := opts
-		denseOpts.Dense = true
-		dense := Generate(tc.task, []string{"name"}, denseOpts)
+		dense := slowGenerate(tc.task, []string{"name"}, opts)
 		if len(dense) == 0 {
-			t.Fatalf("%s: dense path produced no graphs", tc.name)
+			t.Fatalf("%s: seed pipeline produced no graphs", tc.name)
 		}
 		for _, workers := range []int{1, 2, 4} {
 			pruned := opts
@@ -193,8 +197,13 @@ func TestRepCachesByteIdenticalAndHit(t *testing.T) {
 	}
 }
 
-// TestGenerateStatsShape: the candidate counters add up and the dense
-// families report no skips.
+// TestGenerateStatsShape: the candidate counters add up to the kernel
+// blocks the seed pipeline's dense loops compute — for SB-SYN three per
+// non-empty pair (Needleman-Wunsch, the other char measures, the token
+// measures), for SA-SYN a bag and an n-gram-graph block per pair and
+// model, for the semantic families one per non-empty pair and
+// embedding model — and the semantic families, dense by nature, report
+// no skips.
 func TestGenerateStatsShape(t *testing.T) {
 	task := testTask(t)
 	_, stats := GenerateStats(task, []string{"name"}, Options{KeepNoMatchGraphs: true})
@@ -210,14 +219,40 @@ func TestGenerateStatsShape(t *testing.T) {
 	if r := stats.Total().SkipRatio(); r < 0 || r >= 1 {
 		t.Fatalf("total skip ratio %v out of range", r)
 	}
-	_, dense := GenerateStats(task, []string{"name"}, Options{KeepNoMatchGraphs: true, Dense: true})
-	if dense.Total().Skipped != 0 {
-		t.Fatalf("dense run reported skips: %+v", dense)
+	nonEmpty := func(texts1, texts2 []string) int64 {
+		var n1, n2 int64
+		for _, s := range texts1 {
+			if s != "" {
+				n1++
+			}
+		}
+		for _, s := range texts2 {
+			if s != "" {
+				n2++
+			}
+		}
+		return n1 * n2
+	}
+	models := int64(len(embed.Models()))
+	names := nonEmpty(task.V1.AttrTexts("name"), task.V2.AttrTexts("name"))
+	for _, c := range []struct {
+		family Family
+		blocks int64
+	}{
+		{SBSyn, 3 * names},
+		{SASyn, 2 * int64(len(vector.Modes())) * int64(task.V1.Len()*task.V2.Len())},
+		{SBSem, models * names},
+		{SASem, models * nonEmpty(task.V1.Texts(), task.V2.Texts())},
+	} {
+		if fs := stats.Of(c.family); fs.Visited+fs.Skipped != c.blocks {
+			t.Errorf("%s: visited %d + skipped %d != %d dense blocks", c.family, fs.Visited, fs.Skipped, c.blocks)
+		}
 	}
 }
 
 // FuzzCandidateVsDense drives tiny two-a-side tasks from fuzz strings
-// through both paths; any divergence is a filter losslessness bug.
+// through the kernels and the seed pipeline's dense loops; any
+// divergence is a filter losslessness bug.
 func FuzzCandidateVsDense(f *testing.F) {
 	f.Add("golden dragon", "", "!!!", "DRAGON golden")
 	f.Add("a", "b", "ab", "ba")
@@ -246,10 +281,69 @@ func FuzzCandidateVsDense(f *testing.F) {
 			GT:   dataset.NewGroundTruth([][2]int32{{0, 0}}),
 		}
 		opts := Options{KeepNoMatchGraphs: true}
-		denseOpts := opts
-		denseOpts.Dense = true
-		dense := Generate(task, []string{"name"}, denseOpts)
+		dense := slowGenerate(task, []string{"name"}, opts)
 		got := Generate(task, []string{"name"}, opts)
 		compareRuns(t, dense, got, "fuzz")
 	})
+}
+
+// scalarMeasureGraph is the single-measure graph by definition: the
+// scalar strsim function over every pair of non-empty texts, weights
+// above max(minSim, 0) kept, min-max normalized.
+func scalarMeasureGraph(t *testing.T, texts1, texts2 []string, name string, minSim float64) *graph.Bipartite {
+	t.Helper()
+	sim := strsim.AllMeasures()[name]
+	b := graph.NewBuilder(len(texts1), len(texts2))
+	for i, a := range texts1 {
+		for j, c := range texts2 {
+			if a == "" || c == "" {
+				continue
+			}
+			if v := sim(a, c); v > minSim && v > 0 {
+				b.Add(int32(i), int32(j), v)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.NormalizeMinMax()
+}
+
+// TestMeasureGraph: every single-measure graph equals its scalar
+// definition, with and without a min_sim cut, on the generated and the
+// adversarial task and at several worker counts; a cancelled context
+// stops the build and an unknown measure is an error.
+func TestMeasureGraph(t *testing.T) {
+	for _, task := range []*dataset.Task{testTask(t), adversarialTask()} {
+		t1, t2 := task.V1.AttrTexts("name"), task.V2.AttrTexts("name")
+		for _, name := range sbMeasureNames {
+			for _, minSim := range []float64{0, 0.4} {
+				want := scalarMeasureGraph(t, t1, t2, name, minSim).Checksum()
+				for _, workers := range []int{1, 3} {
+					g, fs, err := MeasureGraph(context.Background(), t1, t2, name, minSim, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g.Checksum() != want {
+						t.Fatalf("%s %s min_sim %g w%d: checksum %016x, scalar %016x",
+							task.Name, name, minSim, workers, g.Checksum(), want)
+					}
+					if fs.Visited == 0 {
+						t.Fatalf("%s %s: no pairs visited", task.Name, name)
+					}
+				}
+			}
+		}
+	}
+	task := testTask(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := MeasureGraph(ctx, task.V1.AttrTexts("name"), task.V2.AttrTexts("name"), "Jaccard", 0, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: err %v, want context.Canceled", err)
+	}
+	if err := CheckMeasure("Nope"); err == nil || !strings.Contains(err.Error(), "MongeElkan") {
+		t.Fatalf("unknown measure: err %v, want one listing the measures", err)
+	}
 }

@@ -63,7 +63,7 @@ func slowSchemaBased(task *dataset.Task, keyAttrs []string) []SimGraph {
 		texts2 := task.V2.AttrTexts(attr)
 		tokens1 := tokenizeAll(texts1)
 		tokens2 := tokenizeAll(texts2)
-		builders := make([]*graph.Builder, len(charMeasureNames)+len(tokenMeasureNames))
+		builders := make([]*graph.Builder, len(sbMeasureNames))
 		for k := range builders {
 			builders[k] = graph.NewBuilder(n1, n2)
 		}
@@ -75,29 +75,21 @@ func slowSchemaBased(task *dataset.Task, keyAttrs []string) []SimGraph {
 				if texts2[j] == "" {
 					continue
 				}
-				k := 0
-				for _, name := range charMeasureNames {
-					if sim := charFuncs[name](texts1[i], texts2[j]); sim > 0 {
+				for k, name := range sbMeasureNames {
+					var sim float64
+					if k < numChar {
+						sim = charFuncs[name](texts1[i], texts2[j])
+					} else {
+						sim = tokenFuncs[name](tokens1[i], tokens2[j])
+					}
+					if sim > 0 {
 						builders[k].Add(int32(i), int32(j), sim)
 					}
-					k++
-				}
-				for _, name := range tokenMeasureNames {
-					if sim := tokenFuncs[name](tokens1[i], tokens2[j]); sim > 0 {
-						builders[k].Add(int32(i), int32(j), sim)
-					}
-					k++
 				}
 			}
 		}
-		k := 0
-		for _, name := range charMeasureNames {
+		for k, name := range sbMeasureNames {
 			out = slowAppend(out, task.Name, SBSyn, attr+"/"+name, builders[k])
-			k++
-		}
-		for _, name := range tokenMeasureNames {
-			out = slowAppend(out, task.Name, SBSyn, attr+"/"+name, builders[k])
-			k++
 		}
 	}
 	return out

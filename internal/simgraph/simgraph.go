@@ -23,8 +23,10 @@
 package simgraph
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/ccer-go/ccer/internal/dataset"
 	"github.com/ccer-go/ccer/internal/embed"
@@ -88,11 +90,6 @@ type Options struct {
 	// anything below 1 means serial). Output is deterministic and
 	// identical at any setting.
 	Parallelism int
-	// Dense disables candidate pruning: every kernel visits every
-	// non-empty pair, as the seed pipeline did. The output is byte-
-	// identical to the pruned path (the filters are lossless); it exists
-	// as the reference side of the equivalence tests and CI run.
-	Dense bool
 	// Caches, when non-nil, supplies the cross-build representation
 	// caches (TF/TF-IDF spaces, n-gram graphs, embeddings, schema-based
 	// attribute profiles). Representations are pure functions of the
@@ -206,17 +203,31 @@ func (o Options) maxWMDTokens() int {
 	return o.MaxWMDTokens
 }
 
-// Ordered measure names, fixed so that generation is deterministic.
-var (
-	charMeasureNames = []string{
-		"Levenshtein", "DamerauLevenshtein", "Jaro", "NeedlemanWunsch",
-		"QGramsDistance", "LongestCommonSubstr", "LongestCommonSubseq",
-	}
-	tokenMeasureNames = []string{
-		"Cosine", "BlockDistance", "Dice", "SimonWhite",
-		"OverlapCoefficient", "Euclidean", "Jaccard",
-		"GeneralizedJaccard", "MongeElkan",
-	}
+// sbMeasureNames are the SB-SYN measures in the fixed order that keeps
+// generation deterministic: the seven character measures, then the nine
+// token measures in strsim.TokenSims order. A measure's index is its
+// slot in the row kernel.
+var sbMeasureNames = []string{
+	"Levenshtein", "DamerauLevenshtein", "Jaro", "NeedlemanWunsch",
+	"QGramsDistance", "LongestCommonSubstr", "LongestCommonSubseq",
+	"Cosine", "BlockDistance", "Dice", "SimonWhite",
+	"OverlapCoefficient", "Euclidean", "Jaccard",
+	"GeneralizedJaccard", "MongeElkan",
+}
+
+// measureSet selects row-kernel slots: bit k enables sbMeasureNames[k].
+type measureSet uint16
+
+const (
+	numChar = 7  // character measures lead sbMeasureNames
+	nwSlot  = 3  // Needleman-Wunsch
+	meSlot  = 15 // Monge-Elkan
+
+	allSet   measureSet = 1<<16 - 1
+	nwSet    measureSet = 1 << nwSlot
+	charSet  measureSet = (1<<numChar - 1) &^ nwSet  // the alphabet-gated char measures
+	tokenSet measureSet = allSet &^ (1<<numChar - 1) // the nine token measures
+	meSet    measureSet = 1 << meSlot
 )
 
 // rowEdge is one output of a row kernel: the opposite-side node and the
@@ -230,7 +241,8 @@ type rowEdge struct {
 }
 
 // reserveRows sizes each measure's builder for the edges the assembled
-// rows are about to Add, avoiding repeated growth.
+// rows are about to Add, avoiding repeated growth. Nil builders are
+// slots the rows never use.
 func reserveRows(builders []*graph.Builder, rows [][]rowEdge) {
 	counts := make([]int, len(builders))
 	for _, row := range rows {
@@ -239,7 +251,9 @@ func reserveRows(builders []*graph.Builder, rows [][]rowEdge) {
 		}
 	}
 	for k, b := range builders {
-		b.Reserve(counts[k])
+		if b != nil {
+			b.Reserve(counts[k])
+		}
 	}
 }
 
@@ -335,10 +349,77 @@ func hasMatchEdge(g *graph.Bipartite, gt *dataset.GroundTruth) bool {
 }
 
 // schemaBasedSyntactic applies the 16 string measures to each key
-// attribute as row kernels over the precomputed attrReps bundle. Each
-// row streams all n2 right strings through the left entity's
-// bit-parallel pattern state, but per pair only the measure blocks that
-// can produce a positive edge run:
+// attribute as row kernels over the precomputed attrReps bundle.
+func schemaBasedSyntactic(task *dataset.Task, keyAttrs []string, workers int, opts Options, stats *GenStats) []SimGraph {
+	var out []SimGraph
+	const parent = "generate/" + string(SBSyn)
+	for _, attr := range keyAttrs {
+		endReps := opts.Trace.StartSpanUnder(parent, "reps/"+attr)
+		reps := attrRepsFor(opts.Caches, task.V1.AttrTexts(attr), task.V2.AttrTexts(attr))
+		endReps()
+
+		endRows := opts.Trace.StartSpanUnder(parent, "rows/"+attr)
+		rows, fs := sbRows(reps, allSet, 0, workers, nil)
+		stats.Add(SBSyn, fs.Visited, fs.Skipped)
+		endRows()
+
+		endAsm := opts.Trace.StartSpanUnder(parent, "assemble/"+attr)
+		for k, b := range sbBuilders(rows, allSet, len(reps.texts2)) {
+			out = appendGraph(out, task.Name, SBSyn, attr+"/"+sbMeasureNames[k], b)
+		}
+		endAsm()
+	}
+	return out
+}
+
+// CheckMeasure reports whether name is one of the 16 SB-SYN measures,
+// with an error listing them when it is not.
+func CheckMeasure(name string) error {
+	_, err := measureSlot(name)
+	return err
+}
+
+func measureSlot(name string) (int, error) {
+	for k, n := range sbMeasureNames {
+		if n == name {
+			return k, nil
+		}
+	}
+	names := slices.Clone(sbMeasureNames)
+	slices.Sort(names)
+	return 0, fmt.Errorf("unknown measure %q; have %v", name, names)
+}
+
+// MeasureGraph builds the min-max-normalized similarity graph of one
+// named SB-SYN measure between two text columns: every pair of non-empty
+// texts whose score is above max(minSim, 0) is an edge. It runs the
+// family's row kernel with only that measure enabled, so a pair is
+// visited only when the measure's lossless filter admits it, over
+// representations built for this call alone (no RepCaches). Rows fan
+// over parallelism workers (par.Workers semantics) and the graph is
+// identical at any setting. ctx is polled between rows; a cancelled
+// build returns ctx's error. The stats count the pairs visited and
+// skipped.
+func MeasureGraph(ctx context.Context, texts1, texts2 []string, measure string, minSim float64, parallelism int) (*graph.Bipartite, FamilyStats, error) {
+	k, err := measureSlot(measure)
+	if err != nil {
+		return nil, FamilyStats{}, err
+	}
+	want := measureSet(1) << k
+	rows, fs := sbRows(buildAttrReps(texts1, texts2), want, max(minSim, 0),
+		par.Workers(parallelism), func() bool { return ctx.Err() != nil })
+	if err := ctx.Err(); err != nil {
+		return nil, fs, err
+	}
+	g, err := sbBuilders(rows, want, len(texts2))[k].BuildNormalized()
+	return g, fs, err
+}
+
+// sbRows is the SB-SYN row kernel over one attribute's bundle, with the
+// measures in want enabled and weights above cut kept. Each row streams
+// all n2 right strings through the left entity's bit-parallel pattern
+// state, but per pair only the enabled measure blocks that can produce a
+// positive edge run:
 //
 //   - Needleman-Wunsch is computed for every non-empty pair — with the
 //     paper's scoring it is positive for EVERY such pair (min/(2·max)
@@ -354,138 +435,145 @@ func hasMatchEdge(g *graph.Bipartite, gt *dataset.GroundTruth) bool {
 //     shared token (ME's Smith-Waterman core only needs a shared
 //     character; the other eight are provably 0 without a shared token).
 //
-// Rows fan over the worker pool; edges are assembled in slot order, so
-// the output is identical at any worker count and equal to the dense
-// path.
-func schemaBasedSyntactic(task *dataset.Task, keyAttrs []string, workers int, opts Options, stats *GenStats) []SimGraph {
-	numChar := len(charMeasureNames)
-	numMeasures := numChar + len(tokenMeasureNames)
-	meIdx := int32(numChar + 8) // MongeElkan's slot in TokenSims order
-
-	var out []SimGraph
-	n1, n2 := task.V1.Len(), task.V2.Len()
-	const parent = "generate/" + string(SBSyn)
-	for _, attr := range keyAttrs {
-		endReps := opts.Trace.StartSpanUnder(parent, "reps/"+attr)
-		reps := attrRepsFor(opts.Caches, task.V1.AttrTexts(attr), task.V2.AttrTexts(attr))
-		texts1, texts2 := reps.texts1, reps.texts2
-		endReps()
-
-		endRows := opts.Trace.StartSpanUnder(parent, "rows/"+attr)
-		rows := make([][]rowEdge, n1)
-		rowBufs := make([][]rowEdge, workers)
-		swCaches := make([]*strsim.SWCache, workers)
-		charScr := make([]*strsim.CharScratch, workers)
-		candBits := make([][]uint64, workers)
-		candLists := make([][]int32, workers)
-		ctr := newFamCounters(workers)
-		for w := range swCaches {
-			swCaches[w] = strsim.NewSWCache()
-			charScr[w] = strsim.NewCharScratch()
-			candBits[w] = make([]uint64, (n2+63)/64)
+// Rows fan over the worker pool, polling stop (which may be nil) between
+// rows; each row keeps j ascending, so assembling the rows in slot order
+// gives output identical at any worker count and equal to the seed
+// pipeline's dense loops.
+func sbRows(reps *attrReps, want measureSet, cut float64, workers int, stop func() bool) ([][]rowEdge, FamilyStats) {
+	texts1, texts2 := reps.texts1, reps.texts2
+	n1, n2 := len(texts1), len(texts2)
+	tokWant := uint16(want >> numChar)
+	rows := make([][]rowEdge, n1)
+	rowBufs := make([][]rowEdge, workers)
+	swCaches := make([]*strsim.SWCache, workers)
+	charScr := make([]*strsim.CharScratch, workers)
+	candBits := make([][]uint64, workers)
+	candLists := make([][]int32, workers)
+	ctr := newFamCounters(workers)
+	for w := range swCaches {
+		swCaches[w] = strsim.NewSWCache()
+		charScr[w] = strsim.NewCharScratch()
+		candBits[w] = make([]uint64, (n2+63)/64)
+	}
+	par.For(n1, workers, stop, func(w, i int) {
+		if texts1[i] == "" {
+			return
 		}
-		par.For(n1, workers, nil, func(w, i int) {
-			if texts1[i] == "" {
-				return
-			}
-			cp, scr := reps.cps1[i], charScr[w]
-			ra := cp.Runes()
-			row := rowBufs[w][:0]
-			rawSig := reps.rawSig1[i]
-			tokSig := reps.tokSig1[i]
-			leftTokEmpty := reps.prof1[i].Len() == 0
-			bits := candBits[w]
+		cp, scr := reps.cps1[i], charScr[w]
+		ra := cp.Runes()
+		row := rowBufs[w][:0]
+		rawSig := reps.rawSig1[i]
+		tokSig := reps.tokSig1[i]
+		leftTokEmpty := reps.prof1[i].Len() == 0
+		bits := candBits[w]
+		if want&tokenSet != 0 {
 			candLists[w] = reps.tokIndex.CandidateBits(reps.queryIDs1[i], bits, candLists[w])
-			visited, skipped := int64(0), int64(0)
-			// Measure indexes follow charMeasureNames order; within a j,
-			// block order is free (edges bucket per measure), but j stays
-			// ascending for every measure.
-			for j := 0; j < n2; j++ {
-				if texts2[j] == "" {
-					continue
-				}
-				rb := reps.runes2[j]
-				// NW: dense by construction.
+		}
+		visited, skipped := int64(0), int64(0)
+		// Measure indexes follow sbMeasureNames order; within a j, block
+		// order is free (edges bucket per measure), but j stays ascending
+		// for every measure.
+		for j := 0; j < n2; j++ {
+			if texts2[j] == "" {
+				continue
+			}
+			rb := reps.runes2[j]
+			if want&nwSet != 0 {
 				visited++
-				if sim := cp.NeedlemanWunsch(rb, scr); sim > 0 {
-					row = append(row, rowEdge{3, int32(j), sim})
+				if sim := cp.NeedlemanWunsch(rb); sim > cut {
+					row = append(row, rowEdge{nwSlot, int32(j), sim})
 				}
-				if opts.Dense || rawSig.Intersects(reps.rawSig2[j]) {
+			}
+			if want&charSet != 0 {
+				if rawSig.Intersects(reps.rawSig2[j]) {
 					visited++
-					if sim := cp.Levenshtein(rb, scr); sim > 0 {
-						row = append(row, rowEdge{0, int32(j), sim})
+					if want&(1<<0) != 0 {
+						if sim := cp.Levenshtein(rb, scr); sim > cut {
+							row = append(row, rowEdge{0, int32(j), sim})
+						}
 					}
-					if sim := cp.DamerauLevenshtein(rb, scr); sim > 0 {
-						row = append(row, rowEdge{1, int32(j), sim})
+					if want&(1<<1) != 0 {
+						if sim := cp.DamerauLevenshtein(rb, scr); sim > cut {
+							row = append(row, rowEdge{1, int32(j), sim})
+						}
 					}
-					if sim := strsim.JaroSeqBitpar(ra, rb, reps.jaro2[j], scr); sim > 0 {
-						row = append(row, rowEdge{2, int32(j), sim})
+					if want&(1<<2) != 0 {
+						if sim := strsim.JaroSeqBitpar(ra, rb, reps.jaro2[j], scr); sim > cut {
+							row = append(row, rowEdge{2, int32(j), sim})
+						}
 					}
-					if sim := reps.qp1[i].Distance(reps.qp2[j]); sim > 0 {
-						row = append(row, rowEdge{4, int32(j), sim})
+					if want&(1<<4) != 0 {
+						if sim := reps.qp1[i].Distance(reps.qp2[j]); sim > cut {
+							row = append(row, rowEdge{4, int32(j), sim})
+						}
 					}
-					if sim := cp.LongestCommonSubstring(rb); sim > 0 {
-						row = append(row, rowEdge{5, int32(j), sim})
+					if want&(1<<5) != 0 {
+						if sim := cp.LongestCommonSubstring(rb); sim > cut {
+							row = append(row, rowEdge{5, int32(j), sim})
+						}
 					}
-					if sim := cp.LongestCommonSubsequence(rb, scr); sim > 0 {
-						row = append(row, rowEdge{6, int32(j), sim})
+					if want&(1<<6) != 0 {
+						if sim := cp.LongestCommonSubsequence(rb, scr); sim > cut {
+							row = append(row, rowEdge{6, int32(j), sim})
+						}
 					}
 				} else {
 					skipped++
 				}
-				shared := bits[j>>6]&(1<<(uint(j)&63)) != 0
-				bothEmpty := leftTokEmpty && reps.prof2[j].Len() == 0
-				switch {
-				case opts.Dense || shared || bothEmpty:
-					visited++
-					sims := strsim.TokenSims(reps.prof1[i], reps.prof2[j], swCaches[w])
-					for k, sim := range sims {
-						if sim > 0 {
-							row = append(row, rowEdge{int32(numChar + k), int32(j), sim})
-						}
+			}
+			if want&tokenSet == 0 {
+				continue
+			}
+			shared := bits[j>>6]&(1<<(uint(j)&63)) != 0
+			bothEmpty := leftTokEmpty && reps.prof2[j].Len() == 0
+			switch {
+			case shared || bothEmpty:
+				visited++
+				sims := strsim.TokenSims(reps.prof1[i], reps.prof2[j], tokWant, swCaches[w])
+				for k, sim := range sims {
+					if sim > cut {
+						row = append(row, rowEdge{int32(numChar + k), int32(j), sim})
 					}
-				case tokSig.Intersects(reps.tokSig2[j]):
-					// No shared token: the eight merge-join measures are
-					// provably 0; only Monge-Elkan can be positive.
-					visited++
-					if sim := reps.prof1[i].MongeElkan(reps.prof2[j], swCaches[w]); sim > 0 {
-						row = append(row, rowEdge{meIdx, int32(j), sim})
-					}
-				default:
-					skipped++
 				}
+			case want&meSet != 0 && tokSig.Intersects(reps.tokSig2[j]):
+				// No shared token: the eight merge-join measures are
+				// provably 0; only Monge-Elkan can be positive.
+				visited++
+				if sim := reps.prof1[i].MongeElkan(reps.prof2[j], swCaches[w]); sim > cut {
+					row = append(row, rowEdge{meSlot, int32(j), sim})
+				}
+			default:
+				skipped++
 			}
-			for _, m := range candLists[w] {
-				bits[m>>6] &^= 1 << (uint(m) & 63)
-			}
-			ctr.visited[w] += visited
-			ctr.skipped[w] += skipped
-			rowBufs[w] = sealRow(&rows[i], row)
-		})
-		v, sk := ctr.sum()
-		stats.Add(SBSyn, v, sk)
-		endRows()
+		}
+		for _, m := range candLists[w] {
+			bits[m>>6] &^= 1 << (uint(m) & 63)
+		}
+		ctr.visited[w] += visited
+		ctr.skipped[w] += skipped
+		rowBufs[w] = sealRow(&rows[i], row)
+	})
+	v, sk := ctr.sum()
+	return rows, FamilyStats{Visited: v, Skipped: sk}
+}
 
-		endAsm := opts.Trace.StartSpanUnder(parent, "assemble/"+attr)
-		builders := make([]*graph.Builder, numMeasures)
-		for k := range builders {
-			builders[k] = graph.NewBuilder(n1, n2)
+// sbBuilders assembles row-kernel rows into one builder per slot in
+// want, indexed by slot (nil for the others), adding each measure's
+// edges in row order.
+func sbBuilders(rows [][]rowEdge, want measureSet, n2 int) []*graph.Builder {
+	builders := make([]*graph.Builder, len(sbMeasureNames))
+	for k := range builders {
+		if want&(1<<k) != 0 {
+			builders[k] = graph.NewBuilder(len(rows), n2)
 		}
-		reserveRows(builders, rows)
-		for i, row := range rows {
-			for _, e := range row {
-				builders[e.k].Add(int32(i), e.opp, e.w)
-			}
-		}
-		for k, name := range charMeasureNames {
-			out = appendGraph(out, task.Name, SBSyn, attr+"/"+name, builders[k])
-		}
-		for k, name := range tokenMeasureNames {
-			out = appendGraph(out, task.Name, SBSyn, attr+"/"+name, builders[numChar+k])
-		}
-		endAsm()
 	}
-	return out
+	reserveRows(builders, rows)
+	for i, row := range rows {
+		for _, e := range row {
+			builders[e.k].Add(int32(i), e.opp, e.w)
+		}
+	}
+	return builders
 }
 
 func tokenizeAll(texts []string) [][]string {
@@ -550,15 +638,6 @@ func emptyIndexes(n int, isEmpty func(i int) bool) []int32 {
 	return out
 }
 
-// denseIndexes is the 0..n-1 candidate list of the dense reference path.
-func denseIndexes(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
-}
-
 // rowScratch is the per-worker reusable state of a candidate-row kernel.
 type rowScratch struct {
 	bits []uint64
@@ -570,8 +649,7 @@ type rowScratch struct {
 // one representation model. Candidate rows visit only the pairs that can
 // score positive: pairs sharing a gram (postings) plus — losslessly —
 // empty-vs-empty pairs, which the Jaccard-family bag measures and all
-// four graph measures define as similarity 1. The dense option visits
-// every pair instead (the reference path; identical output).
+// four graph measures define as similarity 1.
 func schemaAgnosticMode(task *dataset.Task, mode vector.Mode, workers int, opts Options, stats *GenStats,
 	texts1, texts2 []string, toks1, toks2 [][]string, values1, values2 [][]string) []SimGraph {
 	n1, n2 := len(texts1), len(texts2)
@@ -586,10 +664,6 @@ func schemaAgnosticMode(task *dataset.Task, mode vector.Mode, workers int, opts 
 	space.CacheTFIDF() // materialize the per-entity caches before fanning out
 	emptyDocs1 := emptyIndexes(n1, func(i int) bool { return space.TF(1, i).Len() == 0 })
 	endSpace()
-	var dense []int32
-	if opts.Dense {
-		dense = denseIndexes(n1)
-	}
 	endBagRows := opts.Trace.StartSpanUnder(parent, "bag-rows/"+mode.String())
 	bagRows := make([][]rowEdge, n2)
 	scratch := make([]rowScratch, workers)
@@ -599,14 +673,10 @@ func schemaAgnosticMode(task *dataset.Task, mode vector.Mode, workers int, opts 
 	}
 	par.For(n2, workers, nil, func(w, j int) {
 		s := &scratch[w]
-		cands := dense
-		if cands == nil {
-			if space.TF(2, j).Len() == 0 {
-				cands = emptyDocs1
-			} else {
-				s.buf = space.Candidates(j, s.bits, s.buf)
-				cands = s.buf
-			}
+		cands := emptyDocs1
+		if space.TF(2, j).Len() != 0 {
+			s.buf = space.Candidates(j, s.bits, s.buf)
+			cands = s.buf
 		}
 		row := s.row[:0]
 		for _, i := range cands {
@@ -655,14 +725,10 @@ func schemaAgnosticMode(task *dataset.Task, mode vector.Mode, workers int, opts 
 	gctr := newFamCounters(workers)
 	par.For(n2, workers, nil, func(w, j int) {
 		s := &scratch[w]
-		cands := dense
-		if cands == nil {
-			if reps.Graphs2[j].NumEdges() == 0 {
-				cands = emptyGraphs1
-			} else {
-				s.buf = vector.UnionCandidates(reps.IDs2[j], reps.Post1Off, reps.Post1IDs, s.bits, s.buf)
-				cands = s.buf
-			}
+		cands := emptyGraphs1
+		if reps.Graphs2[j].NumEdges() != 0 {
+			s.buf = vector.UnionCandidates(reps.IDs2[j], reps.Post1Off, reps.Post1IDs, s.bits, s.buf)
+			cands = s.buf
 		}
 		row := s.row[:0]
 		for _, i := range cands {

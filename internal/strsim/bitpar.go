@@ -1,16 +1,16 @@
 package strsim
 
-// Bit-parallel character-measure kernels. These compute the same integer
-// results as the scalar dynamic programs in charseq.go — Levenshtein
-// distance (Myers' bit-vector algorithm), restricted Damerau-Levenshtein
-// distance (Hyyrö's transposition extension) and LCS length (the
-// Allison-Dix / Crochemore bit-vector recurrence) — in O(⌈m/64⌉·n) word
-// operations instead of O(m·n) cell updates. Because the measures'
-// normalizations divide an integer by a length, equal integers mean
-// bit-identical similarities; the scalar DPs remain in charseq.go as the
-// reference implementations (and as the Damerau fallback for patterns
-// longer than 64 runes), and the fuzz/property suite pins the two
-// implementations against each other.
+// Bit-parallel character-measure kernels and the scalar dynamic
+// programs they replace. The kernels compute the same integer results
+// as the DPs — Levenshtein distance (Myers' bit-vector algorithm),
+// restricted Damerau-Levenshtein distance (Hyyrö's transposition
+// extension) and LCS length (the Allison-Dix / Crochemore bit-vector
+// recurrence) — in O(⌈m/64⌉·n) word operations instead of O(m·n) cell
+// updates. Because the measures' normalizations divide an integer by a
+// length, equal integers mean bit-identical similarities; the scalar DPs
+// below are the string API's bodies, the reference implementations, and
+// the Damerau fallback for patterns longer than 64 runes, and the
+// fuzz/property suite pins the two implementations against each other.
 //
 // All kernels are one-vs-many: the pattern-side state (the PEQ match
 // bitmasks, built by CharProfile) is constructed once per left entity
@@ -18,6 +18,113 @@ package strsim
 // kernels in internal/simgraph get their amortization.
 
 import "math/bits"
+
+// LevenshteinSeq is Levenshtein over pre-converted rune slices.
+func LevenshteinSeq(ra, rb []rune) float64 {
+	return normDist(LevenshteinDistanceSeq(ra, rb), len(ra), len(rb))
+}
+
+// LevenshteinDistanceSeq is LevenshteinDistance over rune slices.
+func LevenshteinDistanceSeq(ra, rb []rune) int {
+	if len(ra) == 0 {
+		return len(rb)
+	}
+	if len(rb) == 0 {
+		return len(ra)
+	}
+	var b1, b2 [stackRows + 1]int
+	prev, cur := intRows(&b1, &b2, len(rb)+1, nil)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
+}
+
+// DamerauLevenshteinSeq is DamerauLevenshtein over rune slices.
+func DamerauLevenshteinSeq(ra, rb []rune) float64 {
+	return normDist(DamerauLevenshteinDistanceSeq(ra, rb, nil), len(ra), len(rb))
+}
+
+// DamerauLevenshteinDistanceSeq is DamerauLevenshteinDistance over rune
+// slices. Rows longer than the stack buffers come from scratch, which
+// may be nil.
+func DamerauLevenshteinDistanceSeq(ra, rb []rune, scratch *CharScratch) int {
+	if len(ra) == 0 {
+		return len(rb)
+	}
+	if len(rb) == 0 {
+		return len(ra)
+	}
+	width := len(rb) + 1
+	var b1, b2, b3 [stackRows + 1]int
+	prev, cur := intRows(&b1, &b2, width, scratch)
+	var two []int
+	switch {
+	case width <= stackRows+1:
+		two = b3[:width]
+	case scratch != nil:
+		two = scratch.row(2, width)
+	default:
+		two = make([]int, width)
+	}
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
+				if v := two[j-2] + 1; v < cur[j] {
+					cur[j] = v
+				}
+			}
+		}
+		two, prev, cur = prev, cur, two
+	}
+	return prev[len(rb)]
+}
+
+// LongestCommonSubsequenceSeq is LongestCommonSubsequence over rune
+// slices.
+func LongestCommonSubsequenceSeq(ra, rb []rune) float64 {
+	if len(ra) == 0 && len(rb) == 0 {
+		return 1
+	}
+	if len(ra) == 0 || len(rb) == 0 {
+		return 0
+	}
+	var b1, b2 [stackRows + 1]int
+	prev, cur := intRows(&b1, &b2, len(rb)+1, nil)
+	for i := 1; i <= len(ra); i++ {
+		for j := 1; j <= len(rb); j++ {
+			if ra[i-1] == rb[j-1] {
+				cur[j] = prev[j-1] + 1
+			} else if prev[j] >= cur[j-1] {
+				cur[j] = prev[j]
+			} else {
+				cur[j] = cur[j-1]
+			}
+		}
+		prev, cur = cur, prev
+	}
+	return float64(prev[len(rb)]) / float64(max2(len(ra), len(rb)))
+}
 
 // peqSingle is the match-bitmask table of a pattern of at most 64 runes:
 // bit i of peq(c) is set iff pattern[i] == c. ASCII runes index a flat

@@ -13,8 +13,8 @@ import (
 // longer unicode strings crossing the 64-rune word boundary where the
 // blocked kernels and the Damerau fallback take over.
 
-// refSmithWatermanSeq is the pre-scratch float64 Smith-Waterman DP,
-// retained verbatim as the reference for the integer-scaled rewrite.
+// refSmithWatermanSeq is the float64 Smith-Waterman DP, retained
+// verbatim as the reference for the integer-scaled SmithWatermanSeq.
 func refSmithWatermanSeq(ra, rb []rune) float64 {
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
@@ -51,14 +51,9 @@ func refSmithWatermanSeq(ra, rb []rune) float64 {
 	return best / float64(min2(len(ra), len(rb))) / swMatch
 }
 
-// refNeedlemanWunschSeq is the float64 NW similarity via the original
-// nwScore, the reference for the integer rewrite.
-func refNeedlemanWunschSeq(ra, rb []rune) float64 {
-	return NeedlemanWunschSeq(ra, rb)
-}
-
-// checkProfileAgreement pins every CharProfile kernel and scratch
-// variant against the scalar references for one (a, b) pair.
+// checkProfileAgreement pins every CharProfile kernel, and every scalar
+// body run over scratch rows, against the scalar references for one
+// (a, b) pair.
 func checkProfileAgreement(t *testing.T, a, b string) {
 	t.Helper()
 	ra, rb := []rune(a), []rune(b)
@@ -71,7 +66,7 @@ func checkProfileAgreement(t *testing.T, a, b string) {
 	if got, want := p.Levenshtein(rb, scratch), LevenshteinSeq(ra, rb); got != want {
 		t.Fatalf("Levenshtein(%q,%q) = %v, scalar %v", a, b, got, want)
 	}
-	if got, want := p.DamerauLevenshteinDistance(rb, scratch), DamerauLevenshteinDistanceSeq(ra, rb); got != want {
+	if got, want := p.DamerauLevenshteinDistance(rb, scratch), DamerauLevenshteinDistanceSeq(ra, rb, nil); got != want {
 		t.Fatalf("DamerauLevenshteinDistance(%q,%q) = %d, scalar %d", a, b, got, want)
 	}
 	if got, want := p.LongestCommonSubsequence(rb, scratch), LongestCommonSubsequenceSeq(ra, rb); got != want {
@@ -80,22 +75,19 @@ func checkProfileAgreement(t *testing.T, a, b string) {
 	if got, want := p.LongestCommonSubstring(rb), LongestCommonSubstringSeq(ra, rb); got != want {
 		t.Fatalf("LongestCommonSubstring(%q,%q) = %v, scalar %v", a, b, got, want)
 	}
-	if got, want := JaroSeqScratch(ra, rb, scratch), JaroSeq(ra, rb); got != want {
-		t.Fatalf("JaroSeqScratch(%q,%q) = %v, scalar %v", a, b, got, want)
+	if got, want := JaroSeq(ra, rb, scratch), JaroSeq(ra, rb, nil); got != want {
+		t.Fatalf("JaroSeq(%q,%q) over scratch = %v, without %v", a, b, got, want)
 	}
-	if got, want := NeedlemanWunschSeqScratch(ra, rb, scratch), refNeedlemanWunschSeq(ra, rb); got != want {
-		t.Fatalf("NeedlemanWunschSeqScratch(%q,%q) = %v, reference %v", a, b, got, want)
+	if got, want := SmithWatermanSeq(ra, rb, scratch), refSmithWatermanSeq(ra, rb); got != want {
+		t.Fatalf("SmithWatermanSeq(%q,%q) over scratch = %v, reference %v", a, b, got, want)
 	}
-	if got, want := SmithWatermanSeqScratch(ra, rb, scratch), refSmithWatermanSeq(ra, rb); got != want {
-		t.Fatalf("SmithWatermanSeqScratch(%q,%q) = %v, reference %v", a, b, got, want)
-	}
-	if got, want := SmithWatermanSeq(ra, rb), refSmithWatermanSeq(ra, rb); got != want {
+	if got, want := SmithWatermanSeq(ra, rb, nil), refSmithWatermanSeq(ra, rb); got != want {
 		t.Fatalf("SmithWatermanSeq(%q,%q) = %v, reference %v", a, b, got, want)
 	}
-	if got, want := p.NeedlemanWunsch(rb, scratch), refNeedlemanWunschSeq(ra, rb); got != want {
-		t.Fatalf("bitpar NeedlemanWunsch(%q,%q) = %v, reference %v", a, b, got, want)
+	if got, want := p.NeedlemanWunsch(rb), NeedlemanWunschSeq(ra, rb); got != want {
+		t.Fatalf("bitpar NeedlemanWunsch(%q,%q) = %v, scalar %v", a, b, got, want)
 	}
-	if got, want := JaroSeqBitpar(ra, rb, NewJaroTable(rb), scratch), JaroSeq(ra, rb); got != want {
+	if got, want := JaroSeqBitpar(ra, rb, NewJaroTable(rb), scratch), JaroSeq(ra, rb, nil); got != want {
 		t.Fatalf("JaroSeqBitpar(%q,%q) = %v, scalar %v", a, b, got, want)
 	}
 }

@@ -3,9 +3,9 @@ package strsim
 // Bit-parallel kernels for the two character measures that stayed scalar
 // after the Myers/Hyyrö/Allison-Dix rewrite: Needleman-Wunsch with the
 // paper's scoring (match 0, mismatch -1, gap -2) and Jaro's windowed
-// match scan. Both keep the scalar implementations in charseq.go as the
-// pinned references (FuzzBitparVsScalar) and as the fallback for inputs
-// longer than one machine word.
+// match scan. Both keep their scalar implementations here, as the string
+// API's bodies, the pinned references (FuzzBitparVsScalar) and the
+// fallback for inputs longer than one machine word.
 //
 // Needleman-Wunsch. In cost form (substitution 1, gap 2) the DP
 //
@@ -41,8 +41,53 @@ package strsim
 
 import "math/bits"
 
-// nwScoreBitpar computes nwScoreInt (the integer Needleman-Wunsch
-// alignment score, always <= 0) for a pattern of m <= 64 runes via the
+// NeedlemanWunschSeq is NeedlemanWunsch over rune slices.
+func NeedlemanWunschSeq(ra, rb []rune) float64 {
+	maxLen := max2(len(ra), len(rb))
+	if maxLen == 0 {
+		return 1
+	}
+	// nwScore is the (non-positive) maximum alignment score; its negation
+	// is the minimum alignment cost, which never exceeds 2*maxLen because
+	// mismatching everything costs at most that. This is Simmetrics'
+	// normalization: 1 - cost / (maxLen * |gap|).
+	return 1 + nwScore(ra, rb)/(-nwGap*float64(maxLen))
+}
+
+func nwScore(ra, rb []rune) float64 {
+	var b1, b2 [stackRows + 1]float64
+	var prev, cur []float64
+	if len(rb) <= stackRows {
+		prev, cur = b1[:len(rb)+1], b2[:len(rb)+1]
+	} else {
+		prev, cur = make([]float64, len(rb)+1), make([]float64, len(rb)+1)
+	}
+	for j := 1; j <= len(rb); j++ {
+		prev[j] = float64(j) * nwGap
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = float64(i) * nwGap
+		for j := 1; j <= len(rb); j++ {
+			sub := nwMismatch
+			if ra[i-1] == rb[j-1] {
+				sub = nwMatch
+			}
+			best := prev[j-1] + sub
+			if v := prev[j] + nwGap; v > best {
+				best = v
+			}
+			if v := cur[j-1] + nwGap; v > best {
+				best = v
+			}
+			cur[j] = best
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
+}
+
+// nwScoreBitpar computes nwScore (the Needleman-Wunsch alignment score,
+// an integer always <= 0) for a pattern of m <= 64 runes via the
 // difference-encoded bit-parallel DP above, streaming the text through
 // the pattern's PEQ table in O(|text|) word operations.
 func nwScoreBitpar(peq *peqSingle, m int, text []rune) int {
@@ -98,22 +143,15 @@ func nwScoreBitpar(peq *peqSingle, m int, text []rune) int {
 	return -dist
 }
 
-// NeedlemanWunsch is NeedlemanWunschSeqScratch(p.Runes(), rb, scratch)
-// through the bit-parallel kernel for patterns of <= 64 runes; longer
-// patterns fall back to the scalar integer rows (like Damerau).
-func (p *CharProfile) NeedlemanWunsch(rb []rune, scratch *CharScratch) float64 {
+// NeedlemanWunsch is NeedlemanWunschSeq(p.Runes(), rb) through the
+// bit-parallel kernel for patterns of <= 64 runes; longer patterns fall
+// back to the scalar DP.
+func (p *CharProfile) NeedlemanWunsch(rb []rune) float64 {
 	m := len(p.runes)
-	maxLen := max2(m, len(rb))
-	if maxLen == 0 {
-		return 1
+	if p.peq1 == nil || len(rb) == 0 {
+		return NeedlemanWunschSeq(p.runes, rb)
 	}
-	var score int
-	if p.peq1 != nil && len(rb) > 0 {
-		score = nwScoreBitpar(p.peq1, m, rb)
-	} else {
-		score = nwScoreInt(p.runes, rb, scratch)
-	}
-	return 1 + float64(score)/(-nwGap*float64(maxLen))
+	return 1 + float64(nwScoreBitpar(p.peq1, m, rb))/(-nwGap*float64(max2(m, len(rb))))
 }
 
 // JaroTable is the PEQ match-bitmask table of the RIGHT side of a Jaro
@@ -154,13 +192,71 @@ func maskThrough(k int) uint64 {
 	return uint64(1)<<uint(k+1) - 1
 }
 
-// JaroSeqBitpar is JaroSeqScratch(ra, rb, scratch) with the windowed
-// match scan replaced by one PEQ lookup per left rune when both strings
-// fit a machine word. tb must be the table of rb; scratch backs the
-// scalar fallback for longer inputs and may be nil.
+// JaroSeq is Jaro over rune slices. Match flags longer than the stack
+// buffers come from scratch, which may be nil.
+func JaroSeq(ra, rb []rune, scratch *CharScratch) float64 {
+	if len(ra) == 0 && len(rb) == 0 {
+		return 1
+	}
+	if len(ra) == 0 || len(rb) == 0 {
+		return 0
+	}
+	window := max2(len(ra), len(rb))/2 - 1
+	if window < 0 {
+		window = 0
+	}
+	var ba, bb [stackRows]bool
+	var matchA, matchB []bool
+	switch {
+	case len(ra) <= stackRows && len(rb) <= stackRows:
+		matchA, matchB = ba[:len(ra)], bb[:len(rb)]
+	case scratch != nil:
+		matchA, matchB = scratch.flag(0, len(ra)), scratch.flag(1, len(rb))
+	default:
+		matchA, matchB = make([]bool, len(ra)), make([]bool, len(rb))
+	}
+	matches := 0
+	for i := range ra {
+		lo := max2(0, i-window)
+		hi := min2(len(rb)-1, i+window)
+		for j := lo; j <= hi; j++ {
+			if !matchB[j] && ra[i] == rb[j] {
+				matchA[i], matchB[j] = true, true
+				matches++
+				break
+			}
+		}
+	}
+	if matches == 0 {
+		return 0
+	}
+	// Count transpositions among matched characters.
+	transpositions := 0
+	j := 0
+	for i := range ra {
+		if !matchA[i] {
+			continue
+		}
+		for !matchB[j] {
+			j++
+		}
+		if ra[i] != rb[j] {
+			transpositions++
+		}
+		j++
+	}
+	m := float64(matches)
+	t := float64(transpositions) / 2
+	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-t)/m) / 3
+}
+
+// JaroSeqBitpar is JaroSeq(ra, rb, scratch) with the windowed match scan
+// replaced by one PEQ lookup per left rune when both strings fit a
+// machine word. tb must be the table of rb; scratch backs the scalar
+// fallback for longer inputs and may be nil.
 func JaroSeqBitpar(ra, rb []rune, tb *JaroTable, scratch *CharScratch) float64 {
 	if len(ra) == 0 || len(rb) == 0 || len(ra) > 64 || tb == nil || tb.peq == nil {
-		return JaroSeqScratch(ra, rb, scratch)
+		return JaroSeq(ra, rb, scratch)
 	}
 	n := len(rb)
 	window := max2(len(ra), n)/2 - 1

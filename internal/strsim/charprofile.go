@@ -135,7 +135,7 @@ func (p *CharProfile) DamerauLevenshteinDistance(rb []rune, scratch *CharScratch
 	if p.peq1 != nil {
 		return damerauDistSingle(p.peq1, m, rb)
 	}
-	return damerauDistRows(p.runes, rb, scratch)
+	return DamerauLevenshteinDistanceSeq(p.runes, rb, scratch)
 }
 
 // DamerauLevenshtein is DamerauLevenshteinSeq(p.Runes(), rb).
@@ -363,38 +363,4 @@ func (a *suffixAutomaton) longestMatch(text []rune) int {
 		}
 	}
 	return int(best)
-}
-
-// damerauDistRows is the scalar restricted Damerau-Levenshtein DP over
-// scratch-provided rows, used as the fallback for patterns longer than
-// one machine word. It mirrors DamerauLevenshteinDistanceSeq cell for
-// cell.
-func damerauDistRows(ra, rb []rune, scratch *CharScratch) int {
-	if scratch == nil {
-		scratch = NewCharScratch()
-	}
-	width := len(rb) + 1
-	two, prev, cur := scratch.row(0, width), scratch.row(1, width), scratch.row(2, width)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if v := two[j-2] + 1; v < cur[j] {
-					cur[j] = v
-				}
-			}
-		}
-		two, prev, cur = prev, cur, two
-	}
-	d := prev[len(rb)]
-	scratch.rows[0], scratch.rows[1], scratch.rows[2] = two, prev, cur
-	return d
 }

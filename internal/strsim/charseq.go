@@ -3,191 +3,28 @@ package strsim
 // Rune-sequence variants of the character-level measures. The string
 // API converts per call; pairwise kernels that compare one entity
 // against many precompute the rune slices once and call these directly.
-// DP working rows live on the stack for typical attribute-value lengths
-// (≤ 64 runes), so a pair comparison allocates nothing.
+// Each measure has one scalar body: the dynamic programs of the measures
+// with a bit-parallel kernel sit beside that kernel (bitpar.go,
+// bitparalign.go), the rest are here. DP working rows live on the stack
+// for typical attribute-value lengths (≤ 64 runes), so a pair comparison
+// allocates nothing; longer rows come from a per-worker CharScratch when
+// the caller passes one.
 
 // stackRows is the rune length up to which DP rows fit the stack
-// buffers below.
+// buffers of the scalar bodies.
 const stackRows = 64
 
-// LevenshteinSeq is Levenshtein over pre-converted rune slices.
-func LevenshteinSeq(ra, rb []rune) float64 {
-	return normDist(LevenshteinDistanceSeq(ra, rb), len(ra), len(rb))
-}
-
-// LevenshteinDistanceSeq is LevenshteinDistance over rune slices.
-func LevenshteinDistanceSeq(ra, rb []rune) int {
-	if len(ra) == 0 {
-		return len(rb)
+// intRows returns two DP rows of n ints: on the stack-backed buffers for
+// n ≤ stackRows+1, else from scratch, else freshly allocated.
+func intRows(b1, b2 *[stackRows + 1]int, n int, scratch *CharScratch) (prev, cur []int) {
+	switch {
+	case n <= stackRows+1:
+		return b1[:n], b2[:n]
+	case scratch != nil:
+		return scratch.row(0, n), scratch.row(1, n)
+	default:
+		return make([]int, n), make([]int, n)
 	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	var b1, b2 [stackRows + 1]int
-	var prev, cur []int
-	if len(rb) <= stackRows {
-		prev, cur = b1[:len(rb)+1], b2[:len(rb)+1]
-	} else {
-		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
-	}
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// DamerauLevenshteinSeq is DamerauLevenshtein over rune slices.
-func DamerauLevenshteinSeq(ra, rb []rune) float64 {
-	return normDist(DamerauLevenshteinDistanceSeq(ra, rb), len(ra), len(rb))
-}
-
-// DamerauLevenshteinDistanceSeq is DamerauLevenshteinDistance over rune
-// slices.
-func DamerauLevenshteinDistanceSeq(ra, rb []rune) int {
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	width := len(rb) + 1
-	var b1, b2, b3 [stackRows + 1]int
-	var two, prev, cur []int
-	if len(rb) <= stackRows {
-		two, prev, cur = b1[:width], b2[:width], b3[:width]
-	} else {
-		two, prev, cur = make([]int, width), make([]int, width), make([]int, width)
-	}
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if v := two[j-2] + 1; v < cur[j] {
-					cur[j] = v
-				}
-			}
-		}
-		two, prev, cur = prev, cur, two
-	}
-	return prev[len(rb)]
-}
-
-// JaroSeq is Jaro over rune slices.
-func JaroSeq(ra, rb []rune) float64 {
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	window := max2(len(ra), len(rb))/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	var ba, bb [stackRows]bool
-	var matchA, matchB []bool
-	if len(ra) <= stackRows && len(rb) <= stackRows {
-		matchA, matchB = ba[:len(ra)], bb[:len(rb)]
-	} else {
-		matchA, matchB = make([]bool, len(ra)), make([]bool, len(rb))
-	}
-	matches := 0
-	for i := range ra {
-		lo := max2(0, i-window)
-		hi := min2(len(rb)-1, i+window)
-		for j := lo; j <= hi; j++ {
-			if !matchB[j] && ra[i] == rb[j] {
-				matchA[i], matchB[j] = true, true
-				matches++
-				break
-			}
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	// Count transpositions among matched characters.
-	transpositions := 0
-	j := 0
-	for i := range ra {
-		if !matchA[i] {
-			continue
-		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-t)/m) / 3
-}
-
-// NeedlemanWunschSeq is NeedlemanWunsch over rune slices.
-func NeedlemanWunschSeq(ra, rb []rune) float64 {
-	maxLen := max2(len(ra), len(rb))
-	if maxLen == 0 {
-		return 1
-	}
-	// nwScore is the (non-positive) maximum alignment score; its negation
-	// is the minimum alignment cost, which never exceeds 2*maxLen because
-	// mismatching everything costs at most that. This is Simmetrics'
-	// normalization: 1 - cost / (maxLen * |gap|).
-	return 1 + nwScore(ra, rb)/(-nwGap*float64(maxLen))
-}
-
-func nwScore(ra, rb []rune) float64 {
-	var b1, b2 [stackRows + 1]float64
-	var prev, cur []float64
-	if len(rb) <= stackRows {
-		prev, cur = b1[:len(rb)+1], b2[:len(rb)+1]
-	} else {
-		prev, cur = make([]float64, len(rb)+1), make([]float64, len(rb)+1)
-	}
-	for j := 1; j <= len(rb); j++ {
-		prev[j] = float64(j) * nwGap
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = float64(i) * nwGap
-		for j := 1; j <= len(rb); j++ {
-			sub := nwMismatch
-			if ra[i-1] == rb[j-1] {
-				sub = nwMatch
-			}
-			best := prev[j-1] + sub
-			if v := prev[j] + nwGap; v > best {
-				best = v
-			}
-			if v := cur[j-1] + nwGap; v > best {
-				best = v
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
 }
 
 // LongestCommonSubstringSeq is LongestCommonSubstring over rune slices.
@@ -199,12 +36,7 @@ func LongestCommonSubstringSeq(ra, rb []rune) float64 {
 		return 0
 	}
 	var b1, b2 [stackRows + 1]int
-	var prev, cur []int
-	if len(rb) <= stackRows {
-		prev, cur = b1[:len(rb)+1], b2[:len(rb)+1]
-	} else {
-		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
-	}
+	prev, cur := intRows(&b1, &b2, len(rb)+1, nil)
 	best := 0
 	for i := 1; i <= len(ra); i++ {
 		for j := 1; j <= len(rb); j++ {
@@ -222,9 +54,12 @@ func LongestCommonSubstringSeq(ra, rb []rune) float64 {
 	return float64(best) / float64(max2(len(ra), len(rb)))
 }
 
-// LongestCommonSubsequenceSeq is LongestCommonSubsequence over rune
-// slices.
-func LongestCommonSubsequenceSeq(ra, rb []rune) float64 {
+// SmithWatermanSeq is SmithWaterman over rune slices. The DP runs in
+// integers with cells scaled by 2, so the gap penalty -0.5 becomes -1;
+// every cell of the float recurrence is a multiple of ½ and exactly
+// representable, so the halved best score is bit-identical to it.
+// scratch may be nil.
+func SmithWatermanSeq(ra, rb []rune, scratch *CharScratch) float64 {
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
 	}
@@ -232,205 +67,7 @@ func LongestCommonSubsequenceSeq(ra, rb []rune) float64 {
 		return 0
 	}
 	var b1, b2 [stackRows + 1]int
-	var prev, cur []int
-	if len(rb) <= stackRows {
-		prev, cur = b1[:len(rb)+1], b2[:len(rb)+1]
-	} else {
-		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
-	}
-	for i := 1; i <= len(ra); i++ {
-		for j := 1; j <= len(rb); j++ {
-			if ra[i-1] == rb[j-1] {
-				cur[j] = prev[j-1] + 1
-			} else if prev[j] >= cur[j-1] {
-				cur[j] = prev[j]
-			} else {
-				cur[j] = cur[j-1]
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return float64(prev[len(rb)]) / float64(max2(len(ra), len(rb)))
-}
-
-// SmithWatermanSeq is SmithWaterman over rune slices.
-func SmithWatermanSeq(ra, rb []rune) float64 {
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	var b1, b2 [stackRows + 1]float64
-	var prev, cur []float64
-	if len(rb) <= stackRows {
-		prev, cur = b1[:len(rb)+1], b2[:len(rb)+1]
-	} else {
-		prev, cur = make([]float64, len(rb)+1), make([]float64, len(rb)+1)
-	}
-	best := 0.0
-	for i := 1; i <= len(ra); i++ {
-		for j := 1; j <= len(rb); j++ {
-			sub := swMismatch
-			if ra[i-1] == rb[j-1] {
-				sub = swMatch
-			}
-			v := prev[j-1] + sub
-			if w := prev[j] + swGap; w > v {
-				v = w
-			}
-			if w := cur[j-1] + swGap; w > v {
-				v = w
-			}
-			if v < 0 {
-				v = 0
-			}
-			cur[j] = v
-			if v > best {
-				best = v
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return best / float64(min2(len(ra), len(rb))) / swMatch
-}
-
-// RunesAll converts each string to its rune slice, the precomputed form
-// the *Seq measures consume.
-func RunesAll(texts []string) [][]rune {
-	out := make([][]rune, len(texts))
-	for i, t := range texts {
-		out[i] = []rune(t)
-	}
-	return out
-}
-
-// The scratch-fed variants below are the row-kernel forms of the
-// measures that stay scalar: same cell-for-cell recurrences, but DP rows
-// above the stack size come from a per-worker CharScratch instead of a
-// fresh allocation, and the alignment scores accumulate in integers.
-// Every Needleman-Wunsch and Smith-Waterman cell is an integer multiple
-// of the score unit (1 for NW; ½ for SW, so cells are scaled by 2), all
-// exactly representable, so integer max/clamp decisions and the final
-// rescaled similarity are bit-identical to the float DPs above.
-
-// JaroSeqScratch is JaroSeq with the match flags drawn from scratch when
-// the strings exceed the stack buffers. scratch may be nil.
-func JaroSeqScratch(ra, rb []rune, scratch *CharScratch) float64 {
-	if len(ra) <= stackRows && len(rb) <= stackRows || scratch == nil {
-		return JaroSeq(ra, rb)
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return JaroSeq(ra, rb)
-	}
-	window := max2(len(ra), len(rb))/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchA := scratch.flag(0, len(ra))
-	matchB := scratch.flag(1, len(rb))
-	matches := 0
-	for i := range ra {
-		lo := max2(0, i-window)
-		hi := min2(len(rb)-1, i+window)
-		for j := lo; j <= hi; j++ {
-			if !matchB[j] && ra[i] == rb[j] {
-				matchA[i], matchB[j] = true, true
-				matches++
-				break
-			}
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
-	j := 0
-	for i := range ra {
-		if !matchA[i] {
-			continue
-		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-t)/m) / 3
-}
-
-// NeedlemanWunschSeqScratch is NeedlemanWunschSeq over integer rows
-// (match 0, mismatch -1, gap -2 are all integral) from scratch.
-func NeedlemanWunschSeqScratch(ra, rb []rune, scratch *CharScratch) float64 {
-	maxLen := max2(len(ra), len(rb))
-	if maxLen == 0 {
-		return 1
-	}
-	score := nwScoreInt(ra, rb, scratch)
-	return 1 + float64(score)/(-nwGap*float64(maxLen))
-}
-
-func nwScoreInt(ra, rb []rune, scratch *CharScratch) int {
-	var b1, b2 [stackRows + 1]int
-	var prev, cur []int
-	switch {
-	case len(rb) <= stackRows:
-		prev, cur = b1[:len(rb)+1], b2[:len(rb)+1]
-	case scratch != nil:
-		prev, cur = scratch.row(0, len(rb)+1), scratch.row(1, len(rb)+1)
-	default:
-		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
-	}
-	const gap, mismatch, match = -2, -1, 0
-	prev[0] = 0
-	for j := 1; j <= len(rb); j++ {
-		prev[j] = j * gap
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i * gap
-		for j := 1; j <= len(rb); j++ {
-			sub := mismatch
-			if ra[i-1] == rb[j-1] {
-				sub = match
-			}
-			best := prev[j-1] + sub
-			if v := prev[j] + gap; v > best {
-				best = v
-			}
-			if v := cur[j-1] + gap; v > best {
-				best = v
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// SmithWatermanSeqScratch is SmithWatermanSeq over integer rows: cells
-// are scaled by 2 so the gap penalty -0.5 becomes -1, and the best local
-// score is halved back exactly at the end.
-func SmithWatermanSeqScratch(ra, rb []rune, scratch *CharScratch) float64 {
-	if len(ra) == 0 && len(rb) == 0 {
-		return 1
-	}
-	if len(ra) == 0 || len(rb) == 0 {
-		return 0
-	}
-	var b1, b2 [stackRows + 1]int
-	var prev, cur []int
-	switch {
-	case len(rb) <= stackRows:
-		prev, cur = b1[:len(rb)+1], b2[:len(rb)+1]
-	case scratch != nil:
-		prev, cur = scratch.row(0, len(rb)+1), scratch.row(1, len(rb)+1)
-	default:
-		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
-	}
+	prev, cur := intRows(&b1, &b2, len(rb)+1, scratch)
 	const gap2, mismatch2, match2 = -1, -4, 2 // 2×(swGap, swMismatch, swMatch)
 	for j := range prev {
 		prev[j] = 0
@@ -461,4 +98,14 @@ func SmithWatermanSeqScratch(ra, rb []rune, scratch *CharScratch) float64 {
 		prev, cur = cur, prev
 	}
 	return float64(best) / 2 / float64(min2(len(ra), len(rb))) / swMatch
+}
+
+// RunesAll converts each string to its rune slice, the precomputed form
+// the *Seq measures consume.
+func RunesAll(texts []string) [][]rune {
+	out := make([][]rune, len(texts))
+	for i, t := range texts {
+		out[i] = []rune(t)
+	}
+	return out
 }

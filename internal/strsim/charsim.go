@@ -12,8 +12,6 @@
 // rune slices (RunesAll) and call those directly.
 package strsim
 
-import "unicode/utf8"
-
 // Func is a normalized string similarity in [0,1].
 type Func func(a, b string) float64
 
@@ -39,12 +37,12 @@ func DamerauLevenshtein(a, b string) float64 {
 // DamerauLevenshteinDistance returns the restricted Damerau-Levenshtein
 // edit distance (insert, delete, substitute, transpose adjacent).
 func DamerauLevenshteinDistance(a, b string) int {
-	return DamerauLevenshteinDistanceSeq([]rune(a), []rune(b))
+	return DamerauLevenshteinDistanceSeq([]rune(a), []rune(b), nil)
 }
 
 // Jaro returns the Jaro similarity of a and b.
 func Jaro(a, b string) float64 {
-	return JaroSeq([]rune(a), []rune(b))
+	return JaroSeq([]rune(a), []rune(b), nil)
 }
 
 // Needleman-Wunsch scoring used by the paper (and Simmetrics):
@@ -66,10 +64,12 @@ func NeedlemanWunsch(a, b string) float64 {
 // QGramsDistance returns the q-grams similarity: block (L1) distance over
 // padded trigram profiles, normalized by the total number of trigrams
 // (1 - dist/total). This is Simmetrics' QGramsDistance with q=3 and
-// boundary padding. It is a thin wrapper over QGramProfile; callers that
-// compare one string against many should precompute the profiles.
+// boundary padding. It is a thin wrapper over QGramIDProfile; callers
+// that compare one string against many should precompute the profiles
+// over one shared QGramVocab.
 func QGramsDistance(a, b string) float64 {
-	return NewQGramProfile(a, 3).Distance(NewQGramProfile(b, 3))
+	v := NewQGramVocab()
+	return v.Profile(a, 3).Distance(v.Profile(b, 3))
 }
 
 // LongestCommonSubstring returns |lcsstr(a,b)| / max(|a|,|b|).
@@ -94,11 +94,8 @@ const (
 // similarity: best local alignment score divided by min(|a|,|b|) (the
 // maximum achievable score).
 func SmithWaterman(a, b string) float64 {
-	return SmithWatermanSeq([]rune(a), []rune(b))
+	return SmithWatermanSeq([]rune(a), []rune(b), nil)
 }
-
-// RuneLen returns the number of runes in s.
-func RuneLen(s string) int { return utf8.RuneCountInString(s) }
 
 func normDist(dist, la, lb int) float64 {
 	m := max2(la, lb)

@@ -132,11 +132,10 @@ func (a *TokenProfile) merge(b *TokenProfile) tokenStats {
 	return s
 }
 
-// The measure formulas below are shared by the standalone methods and
-// the single-merge TokenSims, so the two call paths cannot drift. Each
-// takes the merge-join accumulators plus the two profiles; the
-// both-empty case (every measure returns 1) is handled by the callers
-// before merging.
+// The measure formulas below are the bodies of the eight merge-join
+// measures, called by TokenSims. Each takes the merge-join accumulators
+// plus the two profiles; the both-empty case (every measure returns 1)
+// is handled before merging.
 
 func cosineFrom(s tokenStats, a, b *TokenProfile) float64 {
 	if a.Len() == 0 || b.Len() == 0 {
@@ -198,70 +197,6 @@ func overlapFrom(s tokenStats, a, b *TokenProfile) float64 {
 // bothEmpty reports the degenerate case every measure defines as 1.
 func bothEmpty(a, b *TokenProfile) bool { return a.Len() == 0 && b.Len() == 0 }
 
-// Cosine is CosineTokens over profiles.
-func (a *TokenProfile) Cosine(b *TokenProfile) float64 {
-	if bothEmpty(a, b) {
-		return 1
-	}
-	return cosineFrom(a.merge(b), a, b)
-}
-
-// BlockDistance is BlockDistance over profiles.
-func (a *TokenProfile) BlockDistance(b *TokenProfile) float64 {
-	if bothEmpty(a, b) {
-		return 1
-	}
-	return blockDistanceFrom(a.merge(b), a, b)
-}
-
-// Euclidean is EuclideanTokens over profiles.
-func (a *TokenProfile) Euclidean(b *TokenProfile) float64 {
-	if bothEmpty(a, b) {
-		return 1
-	}
-	return euclideanFrom(a.merge(b), a, b)
-}
-
-// Jaccard is Jaccard over profiles.
-func (a *TokenProfile) Jaccard(b *TokenProfile) float64 {
-	if bothEmpty(a, b) {
-		return 1
-	}
-	return jaccardFrom(a.merge(b), a, b)
-}
-
-// GeneralizedJaccard is GeneralizedJaccard over profiles.
-func (a *TokenProfile) GeneralizedJaccard(b *TokenProfile) float64 {
-	if bothEmpty(a, b) {
-		return 1
-	}
-	return generalizedJaccardFrom(a.merge(b), a, b)
-}
-
-// Dice is Dice over profiles.
-func (a *TokenProfile) Dice(b *TokenProfile) float64 {
-	if bothEmpty(a, b) {
-		return 1
-	}
-	return diceFrom(a.merge(b), a, b)
-}
-
-// SimonWhite is SimonWhite over profiles.
-func (a *TokenProfile) SimonWhite(b *TokenProfile) float64 {
-	if bothEmpty(a, b) {
-		return 1
-	}
-	return simonWhiteFrom(a.merge(b), a, b)
-}
-
-// OverlapCoefficient is OverlapCoefficient over profiles.
-func (a *TokenProfile) OverlapCoefficient(b *TokenProfile) float64 {
-	if bothEmpty(a, b) {
-		return 1
-	}
-	return overlapFrom(a.merge(b), a, b)
-}
-
 // SWCache memoizes Smith-Waterman similarities by token pair. Monge-Elkan
 // recomputes the same token-pair alignments across many entity pairs, so
 // sharing one cache per (attribute, worker) removes most of its DP cost.
@@ -285,10 +220,7 @@ func (c *SWCache) sim(a, b string) float64 {
 	if s, ok := c.m[k]; ok {
 		return s
 	}
-	// The integer-scaled scratch kernel is bit-identical to
-	// SmithWaterman (pinned by the fuzz suite), so memoized and
-	// uncached calls cannot drift.
-	s := SmithWatermanSeqScratch([]rune(a), []rune(b), c.scratch)
+	s := SmithWatermanSeq([]rune(a), []rune(b), c.scratch)
 	c.m[k] = s
 	return s
 }
@@ -326,121 +258,50 @@ func (a *TokenProfile) MongeElkan(b *TokenProfile, cache *SWCache) float64 {
 	return sum / float64(a.Len())
 }
 
-// TokenSims computes all nine token measures for one profile pair in a
-// single merge join, in the order used by the similarity-graph corpus:
+// TokenSims computes the token measures selected by want for one
+// profile pair, in the order used by the similarity-graph corpus:
 // Cosine, BlockDistance, Dice, SimonWhite, OverlapCoefficient,
-// Euclidean, Jaccard, GeneralizedJaccard, MongeElkan. Each value is
-// bit-identical to the corresponding standalone measure.
-func TokenSims(a, b *TokenProfile, cache *SWCache) [9]float64 {
+// Euclidean, Jaccard, GeneralizedJaccard, MongeElkan. Bit k of want
+// selects the k-th; the others are left 0. The first eight share one
+// merge join, and Monge-Elkan's Smith-Waterman alignments run only when
+// it is selected. Each value is bit-identical to the corresponding
+// standalone measure.
+func TokenSims(a, b *TokenProfile, want uint16, cache *SWCache) [9]float64 {
 	var out [9]float64
 	if bothEmpty(a, b) {
 		for k := range out {
 			out[k] = 1
 		}
-		return out
+	} else {
+		if want&0xff != 0 {
+			s := a.merge(b)
+			out[0] = cosineFrom(s, a, b)
+			out[1] = blockDistanceFrom(s, a, b)
+			out[2] = diceFrom(s, a, b)
+			out[3] = simonWhiteFrom(s, a, b)
+			out[4] = overlapFrom(s, a, b)
+			out[5] = euclideanFrom(s, a, b)
+			out[6] = jaccardFrom(s, a, b)
+			out[7] = generalizedJaccardFrom(s, a, b)
+		}
+		if want&(1<<8) != 0 {
+			out[8] = a.MongeElkan(b, cache)
+		}
 	}
-	s := a.merge(b)
-	out[0] = cosineFrom(s, a, b)
-	out[1] = blockDistanceFrom(s, a, b)
-	out[2] = diceFrom(s, a, b)
-	out[3] = simonWhiteFrom(s, a, b)
-	out[4] = overlapFrom(s, a, b)
-	out[5] = euclideanFrom(s, a, b)
-	out[6] = jaccardFrom(s, a, b)
-	out[7] = generalizedJaccardFrom(s, a, b)
-	out[8] = a.MongeElkan(b, cache)
+	for k := range out {
+		if want&(1<<k) == 0 {
+			out[k] = 0
+		}
+	}
 	return out
-}
-
-// QGramProfile is a precomputed padded character q-gram multiset, the
-// per-entity representation behind QGramsDistance: sorted grams with
-// counts, so the distance is a merge join instead of two map builds per
-// pair.
-type QGramProfile struct {
-	grams  []string
-	counts []int32
-	total  int64 // Σ counts
-}
-
-// NewQGramProfile builds the padded q-gram profile of s (q=3 with "#"
-// boundary padding is the QGramsDistance configuration).
-func NewQGramProfile(s string, q int) *QGramProfile {
-	p := &QGramProfile{}
-	if s == "" {
-		return p
-	}
-	pad := ""
-	for i := 0; i < q-1; i++ {
-		pad += "#"
-	}
-	padded := []rune(pad + s + pad)
-	grams := make([]string, 0, len(padded)-q+1)
-	for i := 0; i+q <= len(padded); i++ {
-		grams = append(grams, string(padded[i:i+q]))
-	}
-	sort.Strings(grams)
-	p.grams = grams[:0]
-	p.counts = make([]int32, 0, len(grams))
-	for i := 0; i < len(grams); {
-		j := i + 1
-		for j < len(grams) && grams[j] == grams[i] {
-			j++
-		}
-		p.grams = append(p.grams, grams[i])
-		p.counts = append(p.counts, int32(j-i))
-		p.total += int64(j - i)
-		i = j
-	}
-	return p
-}
-
-// Distance returns the q-grams similarity of two profiles, bit-identical
-// to QGramsDistance on the underlying strings.
-func (a *QGramProfile) Distance(b *QGramProfile) float64 {
-	var dist, total int64
-	i, j := 0, 0
-	for i < len(a.grams) || j < len(b.grams) {
-		var cmp int
-		switch {
-		case j >= len(b.grams):
-			cmp = -1
-		case i >= len(a.grams):
-			cmp = 1
-		case a.grams[i] < b.grams[j]:
-			cmp = -1
-		case a.grams[i] > b.grams[j]:
-			cmp = 1
-		}
-		switch cmp {
-		case -1:
-			dist += int64(a.counts[i])
-			i++
-		case 1:
-			dist += int64(b.counts[j])
-			j++
-		default:
-			d := int64(a.counts[i]) - int64(b.counts[j])
-			if d < 0 {
-				d = -d
-			}
-			dist += d
-			i++
-			j++
-		}
-	}
-	total = a.total + b.total
-	if total == 0 {
-		return 1
-	}
-	return 1 - float64(dist)/float64(total)
 }
 
 // QGramVocab interns padded q-grams (q <= 4) to dense ids by rune
 // window, so profiles compare by integer merge join instead of string
 // compares. Interning is not safe for concurrent use; built profiles
-// are. Every accumulator of the distance is an integer, so the id-order
-// reordering of the merge join is exact and QGramIDProfile.Distance is
-// bit-identical to QGramProfile.Distance on the same strings.
+// are. Every accumulator of the distance is an integer, so the result
+// does not depend on the order ids were assigned in: profiles over any
+// shared vocabulary give the same distance.
 type QGramVocab struct {
 	ids map[[4]rune]int32
 }
@@ -459,8 +320,10 @@ func (v *QGramVocab) id(key [4]rune) int32 {
 	return id
 }
 
-// QGramIDProfile is QGramProfile with interned gram ids: sorted id
-// slice with counts and the total gram count.
+// QGramIDProfile is a precomputed padded character q-gram multiset,
+// the per-entity representation behind QGramsDistance: interned gram ids
+// in sorted order with counts and the total gram count, so the distance
+// is an integer merge join instead of two map builds per pair.
 type QGramIDProfile struct {
 	ids    []int32
 	counts []int32
@@ -502,8 +365,8 @@ func (v *QGramVocab) Profile(s string, q int) *QGramIDProfile {
 	return p
 }
 
-// Distance returns the q-grams similarity of two id profiles,
-// bit-identical to QGramProfile.Distance on the underlying strings.
+// Distance returns the q-grams similarity of two id profiles built over
+// the same vocabulary, QGramsDistance of the underlying strings.
 func (a *QGramIDProfile) Distance(b *QGramIDProfile) float64 {
 	var dist int64
 	i, j := 0, 0

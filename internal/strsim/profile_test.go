@@ -284,10 +284,22 @@ func TestTokenSimsMatchesStandaloneMeasures(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		a, b := randomTokens(rng), randomTokens(rng)
 		pa, pb := NewTokenProfile(a), NewTokenProfile(b)
-		sims := TokenSims(pa, pb, cache)
+		sims := TokenSims(pa, pb, 1<<9-1, cache)
 		for k, f := range standalone {
 			if want := f(a, b); math.Float64bits(want) != math.Float64bits(sims[k]) {
 				t.Fatalf("TokenSims[%d](%v, %v) = %v, standalone %v", k, a, b, sims[k], want)
+			}
+			// Selecting one measure computes it alone and leaves the
+			// other slots 0.
+			one := TokenSims(pa, pb, 1<<k, cache)
+			for j, sim := range one {
+				want := 0.0
+				if j == k {
+					want = sims[k]
+				}
+				if math.Float64bits(sim) != math.Float64bits(want) {
+					t.Fatalf("TokenSims(%v, %v, 1<<%d)[%d] = %v, want %v", a, b, k, j, sim, want)
+				}
 			}
 		}
 	}
@@ -319,7 +331,8 @@ func TestSWCacheConsistency(t *testing.T) {
 }
 
 // TestQGramIDProfileMatchesStringProfile pins the interned-id q-gram
-// distance bit-for-bit against the string-profile implementation.
+// distance, over one vocabulary shared by all texts, bit-for-bit against
+// the string-gram map profile of refQGrams.
 func TestQGramIDProfileMatchesStringProfile(t *testing.T) {
 	texts := []string{
 		"", "a", "ab", "abc", "golden dragon bistro", "harbor grill",
@@ -327,16 +340,14 @@ func TestQGramIDProfileMatchesStringProfile(t *testing.T) {
 	}
 	vocab := NewQGramVocab()
 	idProfs := make([]*QGramIDProfile, len(texts))
-	strProfs := make([]*QGramProfile, len(texts))
 	for i, s := range texts {
 		idProfs[i] = vocab.Profile(s, 3)
-		strProfs[i] = NewQGramProfile(s, 3)
 	}
 	for i := range texts {
 		for j := range texts {
 			got := idProfs[i].Distance(idProfs[j])
-			want := strProfs[i].Distance(strProfs[j])
-			if got != want {
+			want := refQGrams(texts[i], texts[j])
+			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Distance(%q,%q) = %v, string profile %v", texts[i], texts[j], got, want)
 			}
 		}

@@ -16,56 +16,60 @@ func Tokenize(s string) []string {
 	})
 }
 
-// The string-slice token measures are thin wrappers over the profile
-// implementations in profile.go: each builds the two TokenProfiles and
-// delegates, producing bit-identical values to the historical
-// map[string]int implementations (every accumulator is integer-valued,
-// so the merge-join reorder is exact). Hot paths that compare one entity
-// against many should build profiles once and use the profile methods
-// (or TokenSims) directly.
+// The string-slice token measures are thin wrappers over TokenSims in
+// profile.go: each builds the two TokenProfiles and computes its own
+// slot, producing bit-identical values to the historical map[string]int
+// implementations (every accumulator is integer-valued, so the
+// merge-join reorder is exact). Hot paths that compare one entity
+// against many should build profiles once and call TokenSims directly.
+
+// tokenSim is the k-th TokenSims measure of two token lists.
+func tokenSim(k int, a, b []string) float64 {
+	return TokenSims(NewTokenProfile(a), NewTokenProfile(b), 1<<k, nil)[k]
+}
 
 // CosineTokens returns the cosine of the angle between the token count
 // vectors of a and b.
 func CosineTokens(a, b []string) float64 {
-	return NewTokenProfile(a).Cosine(NewTokenProfile(b))
+	return tokenSim(0, a, b)
 }
 
 // BlockDistance returns the normalized L1 (Manhattan) similarity between
 // the token count vectors: 1 - ||a-b||₁ / (|a|+|b|).
 func BlockDistance(a, b []string) float64 {
-	return NewTokenProfile(a).BlockDistance(NewTokenProfile(b))
+	return tokenSim(1, a, b)
 }
 
 // EuclideanTokens returns the normalized Euclidean similarity between the
 // token count vectors: 1 - ||a-b||₂ / sqrt(||a||₂² + ||b||₂²).
 func EuclideanTokens(a, b []string) float64 {
-	return NewTokenProfile(a).Euclidean(NewTokenProfile(b))
+	return tokenSim(5, a, b)
 }
 
 // Jaccard returns |A∩B| / |A∪B| over token sets.
 func Jaccard(a, b []string) float64 {
-	return NewTokenProfile(a).Jaccard(NewTokenProfile(b))
+	return tokenSim(6, a, b)
 }
 
 // GeneralizedJaccard returns Σmin(count) / Σmax(count) over token
 // multisets.
 func GeneralizedJaccard(a, b []string) float64 {
-	return NewTokenProfile(a).GeneralizedJaccard(NewTokenProfile(b))
+	return tokenSim(7, a, b)
 }
 
 // Dice returns 2|A∩B| / (|A|+|B|) over token sets.
 func Dice(a, b []string) float64 {
-	return NewTokenProfile(a).Dice(NewTokenProfile(b))
+	return tokenSim(2, a, b)
 }
 
 // SimonWhite is Dice over multisets: 2·Σmin(count) / (|a|+|b|).
 func SimonWhite(a, b []string) float64 {
-	return NewTokenProfile(a).SimonWhite(NewTokenProfile(b))
+	return tokenSim(3, a, b)
 }
 
 // OverlapCoefficient returns |A∩B| / min(|A|,|B|) over token sets.
 func OverlapCoefficient(a, b []string) float64 {
-	return NewTokenProfile(a).OverlapCoefficient(NewTokenProfile(b))
+	return tokenSim(4, a, b)
 }
 
 // MongeElkan returns the Monge-Elkan similarity: the average, over tokens

@@ -9,7 +9,6 @@ import (
 
 	"github.com/ccer-go/ccer/internal/blocking"
 	"github.com/ccer-go/ccer/internal/eval"
-	"github.com/ccer-go/ccer/internal/graph"
 	"github.com/ccer-go/ccer/internal/rl"
 )
 
@@ -63,17 +62,19 @@ func EvaluateBlocking(cands [][2]int32, gt *GroundTruth, n1, n2 int) BlockingQua
 // outside either collection (possible when the candidate set was built
 // against different collections) is reported as an error.
 func BuildGraphFromCandidates(texts1, texts2 []string, cands [][2]int32, sim SimilarityFunc, minSim float64) (*Graph, error) {
-	b := graph.NewBuilder(len(texts1), len(texts2))
 	for i, c := range cands {
 		if c[0] < 0 || int(c[0]) >= len(texts1) || c[1] < 0 || int(c[1]) >= len(texts2) {
 			return nil, fmt.Errorf("ccer: candidate %d: pair (%d,%d) out of range for collections of %d and %d texts",
 				i, c[0], c[1], len(texts1), len(texts2))
 		}
-		if w := sim(texts1[c[0]], texts2[c[1]]); w > minSim {
-			b.Add(c[0], c[1], w)
-		}
 	}
-	return b.Build()
+	return scorePairs(texts1, texts2, sim, minSim, func(yield func(i, j int32) bool) {
+		for _, c := range cands {
+			if !yield(c[0], c[1]) {
+				return
+			}
+		}
+	})
 }
 
 // EstimateThreshold suggests a similarity threshold for a normalized
