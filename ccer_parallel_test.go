@@ -3,6 +3,7 @@ package ccer
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -97,11 +98,11 @@ func TestMatchConcurrentMatchesMatch(t *testing.T) {
 // TestConcurrentAPIUnknownAlgorithm pins the error path.
 func TestConcurrentAPIUnknownAlgorithm(t *testing.T) {
 	g, gt := apiTestInput(t)
-	if _, err := SweepAll(g, gt, []string{"UMC", "NOPE"}, Options{}); err == nil {
-		t.Fatal("SweepAll accepted unknown algorithm")
+	if _, err := SweepAll(g, gt, []string{"UMC", "NOPE"}, Options{}); err == nil || !strings.HasPrefix(err.Error(), "ccer: ") {
+		t.Fatalf("SweepAll with an unknown algorithm: err %v, want a ccer: error", err)
 	}
-	if _, err := MatchConcurrent(g, []string{"NOPE"}, 0.3, Options{}); err == nil {
-		t.Fatal("MatchConcurrent accepted unknown algorithm")
+	if _, err := MatchConcurrent(g, []string{"NOPE"}, 0.3, Options{}); err == nil || !strings.HasPrefix(err.Error(), "ccer: ") {
+		t.Fatalf("MatchConcurrent with an unknown algorithm: err %v, want a ccer: error", err)
 	}
 }
 

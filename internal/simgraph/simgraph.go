@@ -627,7 +627,8 @@ func profileValues(c *dataset.Collection) [][]string {
 // and n-gram-graph models an empty-vs-empty pair scores 1 on the
 // measures that define emptiness as identity (Jaccard variants; all four
 // graph measures), so candidate enumeration must pair the empties with
-// each other or those edges would be lost.
+// each other or those edges would be lost. The bag models widen "empty"
+// to "all TF-IDF weights zero", see zeroWeights.
 func emptyIndexes(n int, isEmpty func(i int) bool) []int32 {
 	var out []int32
 	for i := 0; i < n; i++ {
@@ -636,6 +637,19 @@ func emptyIndexes(n int, isEmpty func(i int) bool) []int32 {
 		}
 	}
 	return out
+}
+
+// zeroWeights reports whether every weight of v is 0, as for an empty v
+// or a TF-IDF vector whose grams all get IDF 0 (each occurs in all or
+// all but one document). GeneralizedJaccardTFIDF scores a pair of such
+// vectors 1 (its Σmax is 0) whether or not they share a gram.
+func zeroWeights(v vector.Vec) bool {
+	for _, w := range v.Ws {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // rowScratch is the per-worker reusable state of a candidate-row kernel.
@@ -649,7 +663,8 @@ type rowScratch struct {
 // one representation model. Candidate rows visit only the pairs that can
 // score positive: pairs sharing a gram (postings) plus — losslessly —
 // empty-vs-empty pairs, which the Jaccard-family bag measures and all
-// four graph measures define as similarity 1.
+// four graph measures define as similarity 1, and for the bag models
+// pairs of zero-weight TF-IDF vectors (zeroWeights).
 func schemaAgnosticMode(task *dataset.Task, mode vector.Mode, workers int, opts Options, stats *GenStats,
 	texts1, texts2 []string, toks1, toks2 [][]string, values1, values2 [][]string) []SimGraph {
 	n1, n2 := len(texts1), len(texts2)
@@ -662,7 +677,7 @@ func schemaAgnosticMode(task *dataset.Task, mode vector.Mode, workers int, opts 
 	endSpace := opts.Trace.StartSpanUnder(parent, "bag-space/"+mode.String())
 	space := opts.Caches.spaces().Get(mode, texts1, texts2, toks1, toks2)
 	space.CacheTFIDF() // materialize the per-entity caches before fanning out
-	emptyDocs1 := emptyIndexes(n1, func(i int) bool { return space.TF(1, i).Len() == 0 })
+	zeroDocs1 := emptyIndexes(n1, func(i int) bool { return zeroWeights(space.TFIDF(1, i)) })
 	endSpace()
 	endBagRows := opts.Trace.StartSpanUnder(parent, "bag-rows/"+mode.String())
 	bagRows := make([][]rowEdge, n2)
@@ -673,10 +688,15 @@ func schemaAgnosticMode(task *dataset.Task, mode vector.Mode, workers int, opts 
 	}
 	par.For(n2, workers, nil, func(w, j int) {
 		s := &scratch[w]
-		cands := emptyDocs1
+		cands := zeroDocs1
 		if space.TF(2, j).Len() != 0 {
 			s.buf = space.Candidates(j, s.bits, s.buf)
 			cands = s.buf
+			if zeroWeights(space.TFIDF(2, j)) {
+				merged := append(slices.Clone(cands), zeroDocs1...)
+				slices.Sort(merged)
+				cands = slices.Compact(merged)
+			}
 		}
 		row := s.row[:0]
 		for _, i := range cands {
