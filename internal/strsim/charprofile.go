@@ -59,10 +59,10 @@ func CharProfileAll(texts []string) []*CharProfile {
 func (p *CharProfile) Runes() []rune { return p.runes }
 
 // CharScratch is the reusable per-worker state of the character
-// kernels: block vectors for the multi-word bit-parallel paths and
-// integer DP rows for the scalar ones (Damerau fallback, Needleman-
-// Wunsch, Smith-Waterman, Jaro match flags). Values never survive a
-// call; a scratch must not be shared between goroutines.
+// kernels: block vectors for the multi-word bit-parallel paths, integer
+// DP rows for the scalar ones (Damerau fallback, Smith-Waterman) and
+// Jaro's match flags. Values never survive a call; a scratch must not be
+// shared between goroutines.
 type CharScratch struct {
 	blocks [3][]uint64
 	rows   [3][]int
