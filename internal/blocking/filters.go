@@ -69,9 +69,6 @@ func (s Sig128) Intersects(o Sig128) bool {
 	return s[0]&o[0] != 0 || s[1]&o[1] != 0
 }
 
-// IsZero reports the signature of an empty (or all-filtered) input.
-func (s Sig128) IsZero() bool { return s[0] == 0 && s[1] == 0 }
-
 // Sig128All returns one raw-rune signature per text.
 func Sig128All(texts []string) []Sig128 {
 	out := make([]Sig128, len(texts))
@@ -125,9 +122,6 @@ func NewTokenIndex(lists [][]string) *TokenIndex {
 
 // Len returns the number of indexed entities.
 func (ix *TokenIndex) Len() int { return ix.n }
-
-// Vocab returns the number of distinct indexed tokens.
-func (ix *TokenIndex) Vocab() int { return len(ix.ids) }
 
 // QueryIDs appends to dst the index's ids of the given tokens, skipping
 // tokens the index has never seen (they cannot contribute candidates).
