@@ -7,6 +7,8 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -968,5 +970,92 @@ func TestGraphSyncProtocol(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/v1/graphs?fields=sync", nil, &listing)
 	if len(listing.Tombstones) != 1 || listing.Tombstones[0].Name != "copy" || listing.Tombstones[0].Version != 9 {
 		t.Fatalf("tombstones after sync delete = %+v, want copy@9", listing.Tombstones)
+	}
+}
+
+// matchReplyPins are sha256 digests (first 16 hex digits) of whole POST
+// /v1/match bodies, each request sent twice: the first reply computes
+// every matching, the second serves them all from the result cache.
+// Changing how a reply is rendered must leave every digest unchanged.
+var matchReplyPins = []struct {
+	graph      string
+	algorithms []string
+	threshold  float64
+	seed       int64
+	miss, hit  string
+}{
+	{pinGenerated, nil, 0.5, 0, "be6177b04861f72f", "41db6e3789700ddd"},
+	{pinGenerated, nil, 0.35, 0, "2557fc7990918e9b", "141107586048bf51"},
+	{pinGenerated, []string{"BAH"}, 0.5, 7, "6d8336b023338492", "d46b98b870fd8dc5"},
+	{pinGenerated, []string{"UMC"}, 0.2, 0, "7bb027b5a012fecc", "b22aa972e2c9c493"},
+	{"up", nil, 0, 0, "95320aacf74b170a", "7847b417a5bb855c"},
+	{"up", []string{"KRC"}, 0.5, 0, "72d2f7bc1a0058b9", "9f6e9844bbdd3334"},
+	{"low", []string{"CNC", "EXC"}, 0.5, 0, "f35d1721d2da72e1", "fdc5a24439b29b71"},
+}
+
+// pinGenerated is the generated graph's name: it needs HTML escaping in
+// a JSON string, and U+2028 is escaped as well.
+const pinGenerated = "d2<&>\u2028"
+
+// TestMatchReplyPins matches a generated graph (with ground truth, so
+// replies carry metrics) and two uploaded ones (without it: one with
+// weights that render in exponent form, one whose matchings are empty)
+// and compares each reply body's digest with its literal.
+func TestMatchReplyPins(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	generateD2(t, ts.URL, pinGenerated)
+	up := graph.NewBuilder(5, 5)
+	up.Add(0, 0, 0.9)
+	up.Add(1, 1, 1e-7)
+	up.Add(2, 2, 3e21)
+	up.Add(3, 3, 0.30000000000000004)
+	up.Add(4, 4, 1)
+	up.Add(0, 1, 0.5)
+	up.Add(3, 2, 0.75)
+	// Every edge of "low" is at or below the threshold it is matched at,
+	// so its replies carry empty pair lists.
+	low := graph.NewBuilder(2, 2)
+	low.Add(0, 0, 0.5)
+	low.Add(1, 0, 0.25)
+	for name, b := range map[string]*graph.Builder{"up": up, "low": low} {
+		var wire bytes.Buffer
+		if err := b.MustBuild().WriteEdgeList(&wire); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/graphs?name="+name, "text/plain", &wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %s: status %d", name, resp.StatusCode)
+		}
+	}
+
+	for _, p := range matchReplyPins {
+		raw, err := json.Marshal(map[string]any{"graph": p.graph, "algorithms": p.algorithms,
+			"threshold": p.threshold, "seed": p.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{p.miss, p.hit} {
+			resp, err := http.Post(ts.URL+"/v1/match", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", raw, resp.StatusCode, body)
+			}
+			sum := sha256.Sum256(body)
+			if got := hex.EncodeToString(sum[:8]); got != want {
+				t.Errorf("%s: reply digest %s, pinned %s", raw, got, want)
+			}
+		}
 	}
 }
