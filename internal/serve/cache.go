@@ -9,11 +9,14 @@ import (
 
 // CacheKey identifies one cached matching. Version (not just the graph
 // name) is part of the key so overwriting a name silently invalidates
-// all of its cached results, and Seed distinguishes runs of the
-// stochastic matchers (BAH, QLM).
+// all of its cached results; Checksum is too, because a replica-sync
+// write (Store.SyncPut) can replace a graph's content at its current
+// version. Seed distinguishes runs of the stochastic matchers (BAH,
+// QLM).
 type CacheKey struct {
 	Graph     string
 	Version   int64
+	Checksum  uint64
 	Algorithm string
 	Threshold float64
 	Seed      int64
@@ -34,6 +37,11 @@ type ResultCache struct {
 type cacheItem struct {
 	key   CacheKey
 	pairs []core.Pair
+	// rendered is pairs as a match reply's "pairs" array (appendPairs),
+	// kept from the entry's first hit on, so later hits copy it instead
+	// of formatting every pair again. nil until then: a matching that is
+	// never asked for twice is never rendered for the cache.
+	rendered []byte
 }
 
 // NewResultCache returns a cache holding up to capacity matchings.
@@ -50,19 +58,56 @@ func NewResultCache(capacity int) *ResultCache {
 func (c *ResultCache) Get(k CacheKey) ([]core.Pair, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	it := c.lookup(k)
+	if it == nil {
+		return nil, false
+	}
+	return it.pairs, true
+}
+
+// getRendered is Get for the match handler: on a hit it also returns
+// the pairs rendered by appendPairs, rendering them on the entry's first
+// hit. Callers must not modify either returned slice.
+func (c *ResultCache) getRendered(k CacheKey) ([]core.Pair, []byte, bool) {
+	c.mu.Lock()
+	it := c.lookup(k)
+	if it == nil {
+		c.mu.Unlock()
+		return nil, nil, false
+	}
+	pairs, rendered := it.pairs, it.rendered
+	c.mu.Unlock()
+	if rendered != nil {
+		return pairs, rendered, true
+	}
+	// Render outside the lock; two first hits racing both render, and
+	// either copy may stay. A Put that refreshed k meanwhile replaced the
+	// pairs, and their rendering is not this one.
+	rendered = appendPairs(nil, pairs)
+	c.mu.Lock()
+	if len(it.pairs) == len(pairs) && (len(pairs) == 0 || &it.pairs[0] == &pairs[0]) {
+		it.rendered = rendered
+	}
+	c.mu.Unlock()
+	return pairs, rendered, true
+}
+
+// lookup counts a hit or a miss for k and returns its item, marked most
+// recently used, or nil. c.mu must be held.
+func (c *ResultCache) lookup(k CacheKey) *cacheItem {
 	el, ok := c.items[k]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheItem).pairs, true
+	return el.Value.(*cacheItem)
 }
 
 // Put stores the pairs under k, evicting the least recently used entry
 // when the cache is full. Storing an existing key refreshes its value
-// and recency.
+// and recency, and drops the old value's rendering.
 func (c *ResultCache) Put(k CacheKey, pairs []core.Pair) {
 	if c.capacity < 1 {
 		return
@@ -70,7 +115,8 @@ func (c *ResultCache) Put(k CacheKey, pairs []core.Pair) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		el.Value.(*cacheItem).pairs = pairs
+		it := el.Value.(*cacheItem)
+		it.pairs, it.rendered = pairs, nil
 		c.order.MoveToFront(el)
 		return
 	}

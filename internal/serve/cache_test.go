@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/ccer-go/ccer/internal/core"
@@ -46,6 +47,7 @@ func TestCacheKeyFields(t *testing.T) {
 		key("g", 1, "CNC", 0.5, 1),  // other algorithm
 		key("g", 1, "UMC", 0.55, 1), // other threshold
 		key("g", 1, "UMC", 0.5, 7),  // other seed
+		{Graph: "g", Version: 1, Checksum: 9, Algorithm: "UMC", Threshold: 0.5, Seed: 1}, // other content, same version
 	} {
 		if _, ok := c.Get(k); ok {
 			t.Fatalf("key %+v unexpectedly hit", k)
@@ -82,14 +84,51 @@ func TestCachePutRefreshesValue(t *testing.T) {
 	c := NewResultCache(2)
 	k := key("g", 1, "A", 0, 1)
 	c.Put(k, pairs(1))
+	if _, rendered, ok := c.getRendered(k); !ok || string(rendered) != string(appendPairs(nil, pairs(1))) {
+		t.Fatalf("first hit rendered %q, %v", rendered, ok)
+	}
 	c.Put(k, pairs(1, 2, 3))
 	got, ok := c.Get(k)
 	if !ok || len(got) != 3 {
 		t.Fatalf("refreshed Get = %v, %v", got, ok)
 	}
+	// The refresh dropped the old value's rendering.
+	if _, rendered, _ := c.getRendered(k); string(rendered) != string(appendPairs(nil, pairs(1, 2, 3))) {
+		t.Fatalf("refreshed entry rendered %q", rendered)
+	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after double Put of one key", c.Len())
 	}
+	if hits, misses, _ := c.Stats(); hits != 3 || misses != 0 {
+		t.Fatalf("stats = %d hits / %d misses, want 3/0", hits, misses)
+	}
+}
+
+// TestCacheRenderedFollowsPairs races first hits against Puts that
+// refresh the key: every hit's rendering must be that of the pairs it
+// returns.
+func TestCacheRenderedFollowsPairs(t *testing.T) {
+	c := NewResultCache(4)
+	k := key("g", 1, "A", 0, 1)
+	values := [][]core.Pair{pairs(1), pairs(1, 2), pairs(), pairs(3, 4, 5)}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if g%2 == 0 {
+					c.Put(k, values[(g+i)%len(values)])
+					continue
+				}
+				if got, rendered, ok := c.getRendered(k); ok && string(rendered) != string(appendPairs(nil, got)) {
+					t.Errorf("hit returned %v rendered as %q", got, rendered)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestCacheDisabled(t *testing.T) {

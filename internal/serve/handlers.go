@@ -848,33 +848,6 @@ type matchRequest struct {
 	Seed int64 `json:"seed"`
 }
 
-type pairJSON struct {
-	U int32   `json:"u"`
-	V int32   `json:"v"`
-	W float64 `json:"w"`
-}
-
-type metricsJSON struct {
-	Precision float64 `json:"precision"`
-	Recall    float64 `json:"recall"`
-	F1        float64 `json:"f1"`
-}
-
-type algoResultJSON struct {
-	Algorithm string       `json:"algorithm"`
-	Cached    bool         `json:"cached"`
-	Pairs     []pairJSON   `json:"pairs"`
-	Metrics   *metricsJSON `json:"metrics,omitempty"`
-}
-
-type matchResponse struct {
-	Graph     string           `json:"graph"`
-	Version   int64            `json:"version"`
-	Threshold float64          `json:"threshold"`
-	Seed      int64            `json:"seed"`
-	Results   []algoResultJSON `json:"results"`
-}
-
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req matchRequest
@@ -909,29 +882,19 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.writeComputeError(w, r, ctx, err)
 		return
 	}
-	resp := matchResponse{
-		Graph:     e.Name,
-		Version:   e.Version,
-		Threshold: threshold,
-		Seed:      normSeed(req.Seed),
-		Results:   make([]algoResultJSON, len(outcomes)),
+	reply := matchReply{graph: e.Name, version: e.Version, threshold: threshold,
+		seed: normSeed(req.Seed), results: outcomes}
+	if e.GT != nil && e.GT.Len() > 0 {
+		reply.metrics = make([]eval.Metrics, len(outcomes))
+		for i, o := range outcomes {
+			reply.metrics[i] = eval.Evaluate(o.Pairs, e.GT)
+		}
 	}
-	for i, o := range outcomes {
-		ar := algoResultJSON{
-			Algorithm: o.Algorithm,
-			Cached:    o.Cached,
-			Pairs:     make([]pairJSON, len(o.Pairs)),
-		}
-		for k, p := range o.Pairs {
-			ar.Pairs[k] = pairJSON{U: p.U, V: p.V, W: p.W}
-		}
-		if e.GT != nil && e.GT.Len() > 0 {
-			m := eval.Evaluate(o.Pairs, e.GT)
-			ar.Metrics = &metricsJSON{Precision: m.Precision, Recall: m.Recall, F1: m.F1}
-		}
-		resp.Results[i] = ar
-	}
-	writeJSON(w, http.StatusOK, resp)
+	body := reply.appendTo(make([]byte, 0, reply.maxLen()))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // header is out; nothing useful left to do on error
 }
 
 // sweepRequest is the body of POST /v1/sweeps.

@@ -297,6 +297,50 @@ func TestGraphOverwriteInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestSameVersionSyncWriteMissesCache replaces a graph's content at its
+// current version through a replica-sync upload (a repair stream
+// settling a divergent copy): the next match must run on the new content,
+// not answer with the old content's cached pairs.
+func TestSameVersionSyncWriteMissesCache(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	upload := func(query string, status int, edges ...graph.Edge) {
+		t.Helper()
+		b := graph.NewBuilder(2, 2)
+		for _, e := range edges {
+			b.Add(e.U, e.V, e.W)
+		}
+		var wire bytes.Buffer
+		if err := b.MustBuild().WriteEdgeList(&wire); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/graphs?"+query, "text/plain", &wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != status {
+			t.Fatalf("upload ?%s: status %d, want %d", query, resp.StatusCode, status)
+		}
+	}
+	match := func() matchRespJSON {
+		t.Helper()
+		var resp matchRespJSON
+		req := map[string]any{"graph": "g", "algorithms": []string{"EXC"}, "threshold": 0.5}
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/match", req, &resp); code != http.StatusOK {
+			t.Fatalf("match: status %d", code)
+		}
+		return resp
+	}
+	upload("name=g", http.StatusCreated, graph.Edge{U: 0, V: 0, W: 0.9}, graph.Edge{U: 1, V: 1, W: 0.8})
+	match()
+	upload("name=g&sync_version=1", http.StatusCreated, graph.Edge{U: 0, V: 1, W: 0.9}, graph.Edge{U: 1, V: 0, W: 0.8})
+	got := match().Results[0]
+	if got.Cached || len(got.Pairs) != 2 || got.Pairs[0].U != 0 || got.Pairs[0].V != 1 {
+		t.Fatalf("match after same-version sync write = %+v, want the new graph's pairs (0,1) and (1,0), computed", got)
+	}
+}
+
 func TestSweepJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	generateD2(t, ts.URL, "d2")

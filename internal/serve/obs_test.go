@@ -450,13 +450,12 @@ func (s *syncWriter) String() string {
 	return s.w.String()
 }
 
-// benchMatch drives POST /v1/match through the full middleware +
-// handler chain in-process (no sockets, so the numbers isolate the
-// service code), with the cache disabled so every request runs all
-// eight matchings — the instrumented hot path.
-func benchMatch(b *testing.B, cfg serve.Config) {
+// benchHandler returns a function that sends one request through a new
+// server's full middleware + handler chain in-process (no sockets, so
+// the numbers isolate the service code) and fails b unless it answers
+// want.
+func benchHandler(b *testing.B, cfg serve.Config) func(method, path, body string, want int) {
 	b.Helper()
-	cfg.CacheSize = -1
 	srv, err := serve.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -467,24 +466,61 @@ func benchMatch(b *testing.B, cfg serve.Config) {
 		srv.Close(ctx)
 	})
 	handler := srv.Handler()
-	do := func(method, path, body string) *httptest.ResponseRecorder {
+	return func(method, path, body string, want int) {
 		req := httptest.NewRequest(method, path, strings.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		w := httptest.NewRecorder()
 		handler.ServeHTTP(w, req)
-		return w
+		if w.Code != want {
+			b.Fatalf("%s %s %s: status %d, want %d", method, path, body, w.Code, want)
+		}
 	}
-	if w := do(http.MethodPost, "/v1/graphs",
-		`{"name":"d2","dataset":"D2","seed":42,"scale":0.02}`); w.Code != http.StatusCreated {
-		b.Fatalf("generate: status %d", w.Code)
-	}
+}
+
+// benchMatch drives POST /v1/match with the cache disabled, so every
+// request runs all eight matchings: the instrumented compute path.
+func benchMatch(b *testing.B, cfg serve.Config) {
+	b.Helper()
+	cfg.CacheSize = -1
+	do := benchHandler(b, cfg)
+	do(http.MethodPost, "/v1/graphs", `{"name":"d2","dataset":"D2","seed":42,"scale":0.02}`, http.StatusCreated)
 	payload := fmt.Sprintf(`{"graph":"d2","algorithms":%s,"threshold":0.5}`,
 		mustJSON(ccer.Algorithms()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if w := do(http.MethodPost, "/v1/match", payload); w.Code != http.StatusOK {
-			b.Fatalf("match: status %d", w.Code)
+		do(http.MethodPost, "/v1/match", payload, http.StatusOK)
+	}
+}
+
+// benchMatchHot drives POST /v1/match with the cache on, over the keys of
+// the benchmark's match-hot workload for its single-measure graph (D2 at
+// half size, Jaccard): every third request asks for all eight
+// algorithms, the others for one, rotating over three thresholds. Every
+// key is computed and hit once before timing, so each request is all
+// cache hits: the fixed cost of a request.
+func benchMatchHot(b *testing.B, cfg serve.Config) {
+	b.Helper()
+	do := benchHandler(b, cfg)
+	do(http.MethodPost, "/v1/graphs", `{"name":"hot-sm","dataset":"D2","seed":1,"scale":0.5,"measure":"Jaccard"}`,
+		http.StatusCreated)
+	var all, single []string
+	for _, t := range []float64{0.3, 0.5, 0.7} {
+		all = append(all, fmt.Sprintf(`{"graph":"hot-sm","threshold":%g,"seed":1}`, t))
+		for _, a := range ccer.Algorithms() {
+			single = append(single, fmt.Sprintf(`{"graph":"hot-sm","algorithms":["%s"],"threshold":%g,"seed":1}`, a, t))
 		}
+	}
+	for _, payload := range all {
+		do(http.MethodPost, "/v1/match", payload, http.StatusOK)
+		do(http.MethodPost, "/v1/match", payload, http.StatusOK)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		payload := all[i/3%len(all)]
+		if i%3 != 0 {
+			payload = single[(i-i/3-1)%len(single)]
+		}
+		do(http.MethodPost, "/v1/match", payload, http.StatusOK)
 	}
 }
 
@@ -498,8 +534,15 @@ func mustJSON(v any) string {
 
 // BenchmarkMatchRequestObserved vs BenchmarkMatchRequestNoObs is the
 // instrumentation-overhead pair the CI job records: the full POST
-// /v1/match hot path (all eight algorithms, cache off) with the metrics
+// /v1/match path (all eight algorithms, cache off) with the metrics
 // registry + tracer on and with obs disabled entirely.
 func BenchmarkMatchRequestObserved(b *testing.B) { benchMatch(b, serve.Config{}) }
 
 func BenchmarkMatchRequestNoObs(b *testing.B) { benchMatch(b, serve.Config{DisableObs: true}) }
+
+// BenchmarkMatchRequestHotObserved vs BenchmarkMatchRequestHotNoObs is
+// the same pair on the cache-hit path, where no matcher hides the fixed
+// per-request costs instrumentation adds to.
+func BenchmarkMatchRequestHotObserved(b *testing.B) { benchMatchHot(b, serve.Config{}) }
+
+func BenchmarkMatchRequestHotNoObs(b *testing.B) { benchMatchHot(b, serve.Config{DisableObs: true}) }

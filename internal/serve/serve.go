@@ -478,6 +478,9 @@ type matchOutcome struct {
 	Algorithm string
 	Pairs     []core.Pair
 	Cached    bool
+	// Rendered is Pairs as the reply renders them, kept by the result
+	// cache; nil on a miss.
+	Rendered []byte
 }
 
 // matchBatch runs the named algorithms on the stored graph at the
@@ -492,12 +495,15 @@ func (s *Server) matchBatch(ctx context.Context, e *GraphEntry, algorithms []str
 	if err != nil {
 		return nil, err
 	}
+	keyOf := func(name string) CacheKey {
+		return CacheKey{Graph: e.Name, Version: e.Version, Checksum: e.Checksum,
+			Algorithm: name, Threshold: threshold, Seed: seed}
+	}
 	out := make([]matchOutcome, len(algorithms))
 	todo := make([]int, 0, len(algorithms))
 	for i, name := range algorithms {
-		key := CacheKey{Graph: e.Name, Version: e.Version, Algorithm: name, Threshold: threshold, Seed: seed}
-		if pairs, ok := s.cache.Get(key); ok {
-			out[i] = matchOutcome{Algorithm: name, Pairs: pairs, Cached: true}
+		if pairs, rendered, ok := s.cache.getRendered(keyOf(name)); ok {
+			out[i] = matchOutcome{Algorithm: name, Pairs: pairs, Cached: true, Rendered: rendered}
 			continue
 		}
 		todo = append(todo, i)
@@ -519,7 +525,7 @@ func (s *Server) matchBatch(ctx context.Context, e *GraphEntry, algorithms []str
 		par.For(len(todo), par.Workers(s.cfg.Parallelism), stopFunc(ctx), func(_, k int) {
 			i := todo[k]
 			name := algorithms[i]
-			key := CacheKey{Graph: e.Name, Version: e.Version, Algorithm: name, Threshold: threshold, Seed: seed}
+			key := keyOf(name)
 			pairs, _, err := s.matchFlights.Do(ctx, key, func(fctx context.Context) ([]core.Pair, error) {
 				// fctx is the flight's context, not this request's: it
 				// stays live while any coalesced caller still wants the
