@@ -279,26 +279,36 @@ func run(argv []string) error {
 		<-errc
 		return err
 	}
+	ctx, stop := shutdownSignals()
+	defer stop()
 	sw.Set(srv.Handler())
 	fmt.Fprintf(os.Stderr, "erserve: listening on %s (cache=%d job-workers=%d parallel=%d)\n",
 		ln.Addr(), *cache, *jobWorkers, *parallel)
-	return waitAndDrain(httpSrv, errc, *drain, srv)
+	return waitAndDrain(ctx, stop, httpSrv, errc, *drain, srv)
+}
+
+// shutdownSignals catches SIGINT and SIGTERM. Take it before the node
+// can answer ready: a signal sent after that must drain the node, not
+// kill it with the default action.
+func shutdownSignals() (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
 // serveUntilSignal runs httpSrv on ln until SIGINT/SIGTERM, then drains.
 func serveUntilSignal(httpSrv *http.Server, ln net.Listener, drain time.Duration, srv *serve.Server) error {
+	ctx, stop := shutdownSignals()
+	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	return waitAndDrain(httpSrv, errc, drain, srv)
+	return waitAndDrain(ctx, stop, httpSrv, errc, drain, srv)
 }
 
-// waitAndDrain blocks until a shutdown signal (or listener death), then
-// gracefully drains: readiness flips first so health-checked load
-// balancers stop sending traffic, in-flight requests finish under the
-// drain budget, and the service closes last.
-func waitAndDrain(httpSrv *http.Server, errc chan error, drain time.Duration, srv *serve.Server) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+// waitAndDrain blocks until ctx, from shutdownSignals, is done (or the
+// listener dies), then gracefully drains: readiness flips first so
+// health-checked load balancers stop sending traffic, in-flight requests
+// finish under the drain budget, and the service closes last.
+func waitAndDrain(ctx context.Context, stop context.CancelFunc, httpSrv *http.Server, errc chan error,
+	drain time.Duration, srv *serve.Server) error {
 	select {
 	case err := <-errc:
 		return err // listener died before any signal
