@@ -199,6 +199,24 @@ func fetchGraph(t *testing.T, base, name string) *graph.Bipartite {
 	return g
 }
 
+// postEdgeList uploads b's graph to url and requires a 201.
+func postEdgeList(t *testing.T, url string, b *graph.Builder) {
+	t.Helper()
+	var wire bytes.Buffer
+	if err := b.MustBuild().WriteEdgeList(&wire); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "text/plain", &wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload %s: status %d", url, resp.StatusCode)
+	}
+}
+
 // TestMatchBatchIdenticalToSerial is the acceptance criterion: a POST
 // /v1/match batch over all eight algorithms on a generated D2 graph
 // returns exactly the pairs of serial ccer.Match at the same seed.
@@ -303,25 +321,13 @@ func TestGraphOverwriteInvalidatesCache(t *testing.T) {
 // not answer with the old content's cached pairs.
 func TestSameVersionSyncWriteMissesCache(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
-	upload := func(query string, status int, edges ...graph.Edge) {
+	upload := func(query string, edges ...graph.Edge) {
 		t.Helper()
 		b := graph.NewBuilder(2, 2)
 		for _, e := range edges {
 			b.Add(e.U, e.V, e.W)
 		}
-		var wire bytes.Buffer
-		if err := b.MustBuild().WriteEdgeList(&wire); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/graphs?"+query, "text/plain", &wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != status {
-			t.Fatalf("upload ?%s: status %d, want %d", query, resp.StatusCode, status)
-		}
+		postEdgeList(t, ts.URL+"/v1/graphs?"+query, b)
 	}
 	match := func() matchRespJSON {
 		t.Helper()
@@ -332,9 +338,9 @@ func TestSameVersionSyncWriteMissesCache(t *testing.T) {
 		}
 		return resp
 	}
-	upload("name=g", http.StatusCreated, graph.Edge{U: 0, V: 0, W: 0.9}, graph.Edge{U: 1, V: 1, W: 0.8})
+	upload("name=g", graph.Edge{U: 0, V: 0, W: 0.9}, graph.Edge{U: 1, V: 1, W: 0.8})
 	match()
-	upload("name=g&sync_version=1", http.StatusCreated, graph.Edge{U: 0, V: 1, W: 0.9}, graph.Edge{U: 1, V: 0, W: 0.8})
+	upload("name=g&sync_version=1", graph.Edge{U: 0, V: 1, W: 0.9}, graph.Edge{U: 1, V: 0, W: 0.8})
 	got := match().Results[0]
 	if got.Cached || len(got.Pairs) != 2 || got.Pairs[0].U != 0 || got.Pairs[0].V != 1 {
 		t.Fatalf("match after same-version sync write = %+v, want the new graph's pairs (0,1) and (1,0), computed", got)
@@ -1061,21 +1067,8 @@ func TestMatchReplyPins(t *testing.T) {
 	low := graph.NewBuilder(2, 2)
 	low.Add(0, 0, 0.5)
 	low.Add(1, 0, 0.25)
-	for name, b := range map[string]*graph.Builder{"up": up, "low": low} {
-		var wire bytes.Buffer
-		if err := b.MustBuild().WriteEdgeList(&wire); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/graphs?name="+name, "text/plain", &wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("upload %s: status %d", name, resp.StatusCode)
-		}
-	}
+	postEdgeList(t, ts.URL+"/v1/graphs?name=up", up)
+	postEdgeList(t, ts.URL+"/v1/graphs?name=low", low)
 
 	for _, p := range matchReplyPins {
 		raw, err := json.Marshal(map[string]any{"graph": p.graph, "algorithms": p.algorithms,

@@ -37,8 +37,9 @@ const (
 // Upper bounds for sizing a reply buffer once: an int32 renders in at
 // most 11 bytes, an int64 in 20, a float64 in 25
 // (-0.0000012345678901234567), and an escaped string at most six bytes
-// per input byte (\u00XX). frameLen covers the envelope's and one
-// result's fixed text, with its metrics, many times over.
+// per input byte (\u00XX). frameLen covers the envelope's fixed text
+// and numbers (about 150 bytes), or one result's with its metrics
+// (about 240), at least twice over.
 const (
 	maxPairLen  = len(","+pairOpen+pairV+pairW+pairClose) + 2*11 + 25
 	maxPairsLen = len("[" + pairsEnd)
