@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -211,32 +212,36 @@ func TestRouterElasticityMigratesOnlyMovedNames(t *testing.T) {
 		ProbeInterval:  25 * time.Millisecond,
 		RepairInterval: 100 * time.Millisecond,
 	})
-	names := make([]string, 6)
+	// The newcomer starts before the uploads so that the names can be
+	// chosen against its random port: any six fixed names put none or
+	// all of themselves on it in about 3% of runs. Names follow the
+	// elastic-%d sequence, at least six, until some move to the newcomer
+	// and some do not.
+	extra := newExtraBackend(t)
+	grown := append(append([]string{}, tc.bases...), extra)
+	var names []string
+	wantOnExtra := map[string]bool{}
+	for i := 0; i < 64 && (len(names) < 6 || len(wantOnExtra) == 0 || len(wantOnExtra) == len(names)); i++ {
+		n := fmt.Sprintf("elastic-%d", i)
+		names = append(names, n)
+		if slices.Contains(cluster.Replicas(n, grown, 2), extra) {
+			wantOnExtra[n] = true
+		}
+	}
 	checksums := map[string]string{}
-	for i := range names {
-		names[i] = fmt.Sprintf("elastic-%d", i)
+	for i, n := range names {
 		wire, sum := testEdgeList(t, int64(10+i))
-		uploadEdgeList(t, tc.front.URL, names[i], wire)
-		checksums[names[i]] = sum
+		uploadEdgeList(t, tc.front.URL, n, wire)
+		checksums[n] = sum
 	}
 
 	// --- Grow: the newcomer must end up holding exactly the names whose
 	// new placement includes it.
-	extra := newExtraBackend(t)
 	if status, _, body := postJSON(t, tc.front.URL+"/v1/cluster/backends", map[string]any{"url": extra}); status != http.StatusOK {
 		t.Fatalf("backend add: status %d (body %s)", status, body)
 	}
 	if status, _, _ := postJSON(t, tc.front.URL+"/v1/cluster/backends", map[string]any{"url": extra}); status != http.StatusConflict {
 		t.Fatalf("duplicate backend add: status %d, want 409", status)
-	}
-	grown := append(append([]string{}, tc.bases...), extra)
-	wantOnExtra := map[string]bool{}
-	for _, n := range names {
-		for _, base := range cluster.Replicas(n, grown, 2) {
-			if base == extra {
-				wantOnExtra[n] = true
-			}
-		}
 	}
 	if len(wantOnExtra) == 0 || len(wantOnExtra) == len(names) {
 		t.Fatalf("degenerate placement: %d of %d names moved to the newcomer", len(wantOnExtra), len(names))

@@ -12,9 +12,11 @@ import "github.com/ccer-go/ccer/internal/graph"
 // and proposes down his list again; on this second pass he also wins ties
 // against first-pass fiancés (the "promotion" of Király's second phase).
 //
-// Time complexity O(n + m log m): the log factor is the preference-list
-// ordering, which this implementation inherits pre-sorted from the graph's
-// adjacency layout.
+// A man's preference list is his cached adjacency list (graph.AdjList1),
+// sorted by descending weight, read through a cursor: his list is
+// exhausted when the cursor reaches its end or a weight not above t,
+// so a proposal is O(1). A call costs O(n + proposals), and a man walks
+// his above-threshold prefix at most twice, once per chance.
 type KRC struct{}
 
 // Name implements Matcher.
@@ -49,18 +51,6 @@ func (KRC) Match(g *graph.Bipartite, t float64) []Pair {
 		freeM = append(freeM, int32(u))
 	}
 
-	// prefs returns man u's preference list: the prefix of his adjacency
-	// with weight above t (adjacency is already descending by weight).
-	prefs := func(u int32) ([]int32, []float64) {
-		opp, ws := g.AdjList1(u)
-		for i, w := range ws {
-			if w <= t {
-				return opp[:i], ws[:i]
-			}
-		}
-		return opp, ws
-	}
-
 	accepts := func(v int32, u int32, w float64) bool {
 		if w > fianceW[v] {
 			return true
@@ -74,8 +64,8 @@ func (KRC) Match(g *graph.Bipartite, t float64) []Pair {
 		if engagedTo[u] >= 0 {
 			continue // engaged while waiting in the queue
 		}
-		opps, ws := prefs(u)
-		if int(ptr[u]) >= len(ws) {
+		opps, ws := g.AdjList1(u)
+		if int(ptr[u]) >= len(ws) || ws[ptr[u]] <= t {
 			if !lastChance[u] {
 				lastChance[u] = true
 				ptr[u] = 0 // recover the initial queue (Line 29)

@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -215,39 +214,6 @@ func TestDensityAndTotals(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g := paperGraph(t).Threshold(0.5)
-	comps := g.ConnectedComponents()
-	// Components: {A1,A5,B1,B3}, {A2,B2}, {A3}, {A4}, {B4}.
-	sizes := map[int]int{}
-	for _, c := range comps {
-		sizes[c.Size()]++
-	}
-	if !reflect.DeepEqual(sizes, map[int]int{4: 1, 2: 1, 1: 3}) {
-		t.Fatalf("component size histogram = %v", sizes)
-	}
-	total := 0
-	for _, c := range comps {
-		total += c.Size()
-	}
-	if total != g.NumNodes() {
-		t.Fatalf("components cover %d nodes, want %d", total, g.NumNodes())
-	}
-}
-
-func TestConnectedComponentsEmpty(t *testing.T) {
-	g := mustGraph(t, 3, 2, nil)
-	comps := g.ConnectedComponents()
-	if len(comps) != 5 {
-		t.Fatalf("singleton components = %d, want 5", len(comps))
-	}
-	for _, c := range comps {
-		if c.Size() != 1 {
-			t.Fatalf("component %v not a singleton", c)
-		}
-	}
-}
-
 // randomGraph builds a random bipartite graph for property tests.
 func randomGraph(rng *rand.Rand, maxSide, maxEdges int) *Bipartite {
 	n1 := rng.Intn(maxSide) + 1
@@ -315,58 +281,6 @@ func TestPropertyNormalizeRange(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyComponentsPartition(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 25, 120)
-		seen1 := make([]bool, g.N1())
-		seen2 := make([]bool, g.N2())
-		for _, c := range g.ConnectedComponents() {
-			for _, u := range c.V1 {
-				if seen1[u] {
-					return false
-				}
-				seen1[u] = true
-			}
-			for _, v := range c.V2 {
-				if seen2[v] {
-					return false
-				}
-				seen2[v] = true
-			}
-		}
-		for _, s := range seen1 {
-			if !s {
-				return false
-			}
-		}
-		for _, s := range seen2 {
-			if !s {
-				return false
-			}
-		}
-		// Every edge's endpoints are in the same component.
-		comp := make(map[[2]int32]int)
-		for ci, c := range g.ConnectedComponents() {
-			for _, u := range c.V1 {
-				comp[[2]int32{1, u}] = ci
-			}
-			for _, v := range c.V2 {
-				comp[[2]int32{2, v}] = ci
-			}
-		}
-		for _, e := range g.Edges() {
-			if comp[[2]int32{1, e.U}] != comp[[2]int32{2, e.V}] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
