@@ -15,6 +15,7 @@ package ccer
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -341,6 +342,29 @@ func BenchmarkMatchersCold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEdgeListCold is the store path's serialization cost on
+// match-cold's graphs: Checksum, which every stored graph pays, and
+// WriteEdgeList, which GET ?format=edgelist and repair streams pay.
+func BenchmarkEdgeListCold(b *testing.B) {
+	gs := matchColdGraphs()
+	b.Run("Checksum", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			checksumSink = gs[i%len(gs)].Checksum()
+		}
+	})
+	b.Run("WriteEdgeList", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := gs[i%len(gs)].WriteEdgeList(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+var checksumSink uint64
 
 // BenchmarkBaselines times the exact baselines for comparison with the
 // paper's complexity-based exclusion of the Hungarian algorithm.

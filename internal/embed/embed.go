@@ -66,12 +66,13 @@ func NewVecCache() *VecCache { return &VecCache{m: make(map[string][]float64)} }
 // NewBoundedVecCache returns a cache that evicts (arbitrary) entries
 // once it holds max vectors, for caches that persist for a process
 // lifetime (embed.RepCache): the values are pure functions of their
-// keys, so eviction never changes results, only recompute cost.
+// keys, so eviction never changes results, only recompute cost. The map
+// grows with its entries; max is a bound, not a size hint.
 func NewBoundedVecCache(max int) *VecCache {
 	if max < 1 {
 		max = 1
 	}
-	return &VecCache{m: make(map[string][]float64, max), max: max}
+	return &VecCache{m: make(map[string][]float64), max: max}
 }
 
 // get returns the cached vector for key, or nil.

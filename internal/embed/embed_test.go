@@ -3,6 +3,8 @@ package embed
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -345,5 +347,41 @@ func TestRepCacheEviction(t *testing.T) {
 	_, _, evictions := cache.Stats()
 	if evictions == 0 {
 		t.Fatal("no evictions recorded")
+	}
+}
+
+// TestNewRepCacheAllocatesLazily pins that the bounded vector caches
+// grow with use: NewRepCache(16), the cache erserve's default
+// -repcache 2 builds, once reserved 2^19 map slots in each of four
+// maps (about 175 MB) before its first request.
+func TestNewRepCacheAllocatesLazily(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewRepCache(16)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewRepCache(16) allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// TestBoundedVecCacheEvicts drives put's eviction loop: after max+k
+// puts the cache holds exactly max vectors, the latest among them.
+func TestBoundedVecCacheEvicts(t *testing.T) {
+	for _, max := range []int{1, 2, 7} {
+		c := NewBoundedVecCache(max)
+		for i := 0; i < max+5; i++ {
+			key := strconv.Itoa(i)
+			c.put(key, []float64{float64(i)})
+			if n := len(c.m); n != min(i+1, max) {
+				t.Fatalf("max %d: %d entries after %d puts", max, n, i+1)
+			}
+			if v := c.get(key); len(v) != 1 || v[0] != float64(i) {
+				t.Fatalf("max %d: just-put key %q reads %v", max, key, v)
+			}
+		}
+	}
+	if c := NewBoundedVecCache(0); c.max != 1 {
+		t.Fatalf("NewBoundedVecCache(0) bound %d, want 1", c.max)
 	}
 }

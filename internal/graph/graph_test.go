@@ -312,6 +312,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"bad edge", "2 2\n0 0\n"},
 		{"bad weight", "2 2\n0 0 abc\n"},
 		{"out of range", "2 2\n5 0 0.5\n"},
+		{"edge extra field", "2 2\n0 0 0.5 junk\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -319,6 +320,14 @@ func TestReadEdgeListErrors(t *testing.T) {
 				t.Fatal("bad input accepted")
 			}
 		})
+	}
+	// The header must be exactly two integers: trailing text once
+	// slipped through as a 2x2 graph.
+	for _, input := range []string{"2 2 junk\n", "2 2x\n", "2\n", "x y\n", "2 2 3\n0 0 0.5\n"} {
+		_, err := ReadEdgeListMax(strings.NewReader(input), 1<<21)
+		if err == nil || !strings.HasPrefix(err.Error(), "graph: bad header") {
+			t.Errorf("header %q: err = %v, want a bad header error", input, err)
+		}
 	}
 	// Comments and blank lines are tolerated.
 	g, err := ReadEdgeList(strings.NewReader("2 2\n# comment\n\n0 1 0.5\n"))

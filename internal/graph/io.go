@@ -15,19 +15,13 @@ import (
 //	u v w
 //	...
 //
-// one edge per line, weights with full float64 round-trip precision.
+// one edge per line, weights with full float64 round-trip precision
+// (strconv's shortest 'g' form).
 func (g *Bipartite) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d\n", g.n1, g.n2); err != nil {
+	return g.encodeEdgeList(func(chunk []byte) error {
+		_, err := w.Write(chunk)
 		return err
-	}
-	for _, e := range g.edges {
-		if _, err := fmt.Fprintf(bw, "%d %d %s\n", e.U, e.V,
-			strconv.FormatFloat(e.W, 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	})
 }
 
 // Checksum fingerprints the graph content as the FNV-1a hash of its
@@ -36,8 +30,46 @@ func (g *Bipartite) WriteEdgeList(w io.Writer) error {
 // checksum. The erserve graph store uses it to tag versioned entries.
 func (g *Bipartite) Checksum() uint64 {
 	h := fnv.New64a()
-	_ = g.WriteEdgeList(h) // writes to a hasher cannot fail
+	_ = g.encodeEdgeList(func(chunk []byte) error {
+		h.Write(chunk) // writes to a hasher cannot fail
+		return nil
+	})
 	return h.Sum64()
+}
+
+// edgeListChunk is the size of the encoder's buffer, and maxEdgeLine
+// bounds one encoded line: two int32 ids of up to 11 bytes, a weight of
+// up to 24 ("-2.2250738585072014e-308"), two spaces and a newline.
+const (
+	edgeListChunk = 32 << 10
+	maxEdgeLine   = 64
+)
+
+// encodeEdgeList produces WriteEdgeList's bytes with strconv appends
+// into one reused buffer, passing each chunk of whole lines to emit; a
+// chunk is valid only until emit returns. It stops at emit's first
+// error.
+func (g *Bipartite) encodeEdgeList(emit func(chunk []byte) error) error {
+	b := make([]byte, 0, edgeListChunk)
+	b = strconv.AppendInt(b, int64(g.n1), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(g.n2), 10)
+	b = append(b, '\n')
+	for _, e := range g.edges {
+		if len(b) > edgeListChunk-maxEdgeLine {
+			if err := emit(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+		b = strconv.AppendInt(b, int64(e.U), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(e.V), 10)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, e.W, 'g', -1, 64)
+		b = append(b, '\n')
+	}
+	return emit(b)
 }
 
 // ReadEdgeList parses the format written by WriteEdgeList.
@@ -57,9 +89,9 @@ func ReadEdgeListMax(r io.Reader, maxNodes int) (*Bipartite, error) {
 		}
 		return nil, fmt.Errorf("graph: empty edge list input")
 	}
-	var n1, n2 int
-	if _, err := fmt.Sscanf(strings.TrimSpace(sc.Text()), "%d %d", &n1, &n2); err != nil {
-		return nil, fmt.Errorf("graph: bad header %q: %w", sc.Text(), err)
+	n1, n2, err := parseHeader(sc.Text())
+	if err != nil {
+		return nil, err
 	}
 	// Per-side comparisons avoid n1+n2 overflowing on hostile headers.
 	if maxNodes > 0 && (n1 > maxNodes || n2 > maxNodes || n1+n2 > maxNodes) {
@@ -95,4 +127,20 @@ func ReadEdgeListMax(r io.Reader, maxNodes int) (*Bipartite, error) {
 		return nil, err
 	}
 	return b.Build()
+}
+
+// parseHeader reads the "n1 n2" line: exactly two integer fields, so
+// trailing text is an error rather than ignored.
+func parseHeader(line string) (n1, n2 int, err error) {
+	f := strings.Fields(line)
+	if len(f) != 2 {
+		return 0, 0, fmt.Errorf("graph: bad header %q: want 'n1 n2'", line)
+	}
+	if n1, err = strconv.Atoi(f[0]); err == nil {
+		n2, err = strconv.Atoi(f[1])
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("graph: bad header %q: %w", line, err)
+	}
+	return n1, n2, nil
 }

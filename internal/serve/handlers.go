@@ -20,6 +20,7 @@ import (
 	"github.com/ccer-go/ccer/internal/eval"
 	"github.com/ccer-go/ccer/internal/graph"
 	"github.com/ccer-go/ccer/internal/obs"
+	"github.com/ccer-go/ccer/internal/par"
 	"github.com/ccer-go/ccer/internal/resilience"
 	"github.com/ccer-go/ccer/internal/simgraph"
 )
@@ -716,13 +717,18 @@ func (s *Server) generateFamilyReply(ctx context.Context, trace *obs.Trace, req 
 	s.gen.recordStats(spec.ID, string(family), elapsed, fs.Visited, fs.Skipped)
 	s.genDur.With(string(family)).Observe(elapsed)
 
+	// Checksumming is pure per graph; only the commits below are ordered.
+	sums := make([]uint64, len(graphs))
+	par.For(len(graphs), par.Workers(s.cfg.Parallelism), nil, func(_, i int) {
+		sums[i] = graphs[i].G.Checksum()
+	})
 	infos := make([]graphInfo, 0, len(graphs))
-	for _, sg := range graphs {
+	for i, sg := range graphs {
 		e, err := s.store.Put(&GraphEntry{
 			Name:     base + "/" + sg.Name,
 			Graph:    sg.G,
 			GT:       task.GT,
-			Checksum: sg.G.Checksum(),
+			Checksum: sums[i],
 			Source:   "generate",
 			Dataset:  spec.ID,
 			Seed:     seed,

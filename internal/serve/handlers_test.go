@@ -729,6 +729,11 @@ func TestFamilyGeneration(t *testing.T) {
 		if !strings.HasPrefix(g.Name, "corp/") || !g.HasGroundTruth || g.Dataset != "D2" {
 			t.Fatalf("family graph info = %+v", g)
 		}
+		// The checksums are computed in parallel before the commits;
+		// each must still tag its own graph.
+		if sum := fmt.Sprintf("%016x", fetchGraph(t, ts.URL, g.Name).Checksum()); sum != g.Checksum {
+			t.Fatalf("%s: listed checksum %s, its edge list hashes to %s", g.Name, g.Checksum, sum)
+		}
 	}
 	// Every stored graph is individually retrievable and matchable.
 	var info graphInfoJSON

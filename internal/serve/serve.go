@@ -44,9 +44,10 @@ type Config struct {
 	// input: a few bytes can demand gigabytes of adjacency arrays) or
 	// generated. 0 means 1<<21; negative means no cap.
 	MaxGraphNodes int
-	// Parallelism is the worker count inside one match batch or sweep
-	// grid, forwarded to the internal/par pool (0 means all CPUs, 1
-	// serial). Responses are deterministic at any setting.
+	// Parallelism is the worker count inside one match batch, sweep
+	// grid or graph generation (a family's checksums included),
+	// forwarded to the internal/par pool (0 means all CPUs, 1 serial).
+	// Responses are deterministic at any setting.
 	Parallelism int
 	// MaxBodyBytes caps request bodies (edge-list uploads dominate).
 	// 0 means 32 MiB.
