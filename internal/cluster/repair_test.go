@@ -404,7 +404,6 @@ func TestRouterProbeStagger(t *testing.T) {
 		Backends:       bases,
 		ProbeInterval:  interval,
 		RepairInterval: -1,
-		DisableObs:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

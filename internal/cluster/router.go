@@ -48,8 +48,6 @@ type RouterConfig struct {
 	// RepairConcurrency bounds concurrent per-graph repair streams
 	// within one scan; 0 means 4.
 	RepairConcurrency int
-	// DisableObs disables the metrics registry.
-	DisableObs bool
 }
 
 func (c *RouterConfig) withDefaults() RouterConfig {
@@ -269,9 +267,6 @@ func (rt *Router) Handler() http.Handler {
 }
 
 func (rt *Router) initObs() {
-	if rt.cfg.DisableObs {
-		return
-	}
 	r := obs.NewRegistry()
 	rt.obs = r
 	rt.requests = r.Counter("ccer_router_requests_total", "Requests received by the cluster router.")
@@ -578,25 +573,18 @@ func (rt *Router) handleRepairKick(w http.ResponseWriter, r *http.Request) {
 	routerJSON(w, http.StatusAccepted, map[string]any{"kicked": true})
 }
 
+// handleMetrics serves the registry's two views, negotiated as on
+// erserve: the Prometheus exposition, or JSON holding every counter and
+// gauge family without "ccer_router_" plus the cluster state.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" ||
-		strings.Contains(r.Header.Get("Accept"), "text/plain") {
-		if rt.obs == nil {
-			routerError(w, http.StatusNotFound, "", "metrics registry disabled")
-			return
-		}
+	if obs.WantsPrometheus(r) {
 		w.Header().Set("Content-Type", obs.ContentType)
 		_ = rt.obs.WritePrometheus(w)
 		return
 	}
-	routerJSON(w, http.StatusOK, map[string]any{
-		"requests_total":         rt.requests.Load(),
-		"hedges_total":           rt.hedges.Load(),
-		"hedge_wins_total":       rt.hedgeWins.Load(),
-		"failovers_total":        rt.failovers.Load(),
-		"write_fan_misses_total": rt.fanMisses.Load(),
-		"cluster":                rt.clusterState(),
-	})
+	m := rt.obs.Values("ccer_router_")
+	m["cluster"] = rt.clusterState()
+	routerJSON(w, http.StatusOK, m)
 }
 
 // hedgeDelay is the wait before a read is duplicated to another
@@ -608,9 +596,6 @@ func (rt *Router) hedgeDelay() time.Duration {
 		return rt.cfg.HedgeAfter
 	}
 	const floor, cold = 25 * time.Millisecond, 100 * time.Millisecond
-	if rt.readDur == nil {
-		return cold
-	}
 	snap := rt.readDur.Snapshot()
 	if snap.Count < 20 {
 		return cold

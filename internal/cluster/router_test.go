@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/ccer-go/ccer/internal/cluster"
+	"github.com/ccer-go/ccer/internal/obs"
 	"github.com/ccer-go/ccer/internal/resilience"
 	"github.com/ccer-go/ccer/internal/serve"
 )
@@ -377,5 +378,51 @@ func TestRouterSweepRouting(t *testing.T) {
 			t.Fatalf("sweep stuck in state %q", got.State)
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// TestRouterMetricsContentNegotiation: the router's /metrics negotiates
+// as erserve's does. JSON is the default, ?format=prometheus and an
+// Accept of text/plain or an openmetrics type select the exposition,
+// and ?format=json wins over the Accept header.
+func TestRouterMetricsContentNegotiation(t *testing.T) {
+	tc := newTestCluster(t, 1, cluster.RouterConfig{RepairInterval: -1})
+	for _, c := range []struct {
+		query, accept string
+		prometheus    bool
+	}{
+		{"", "", false},
+		{"?format=prometheus", "", true},
+		{"", "text/plain", true},
+		{"?format=json", "text/plain", false},
+		{"", "application/openmetrics-text; version=1.0.0", true},
+	} {
+		req, err := http.NewRequest(http.MethodGet, tc.front.URL+"/metrics"+c.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.accept != "" {
+			req.Header.Set("Accept", c.accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := resp.Header.Get("Content-Type")
+		if c.prometheus {
+			if ct != obs.ContentType || !bytes.Contains(body, []byte("# TYPE ccer_router_requests_total counter")) {
+				t.Errorf("query %q, Accept %q: content type %q, want the exposition", c.query, c.accept, ct)
+			}
+			continue
+		}
+		var m map[string]any
+		if ct != "application/json" || json.Unmarshal(body, &m) != nil || m["requests_total"] == nil {
+			t.Errorf("query %q, Accept %q: content type %q, want JSON with requests_total", c.query, c.accept, ct)
+		}
 	}
 }

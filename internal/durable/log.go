@@ -110,12 +110,6 @@ type Metrics struct {
 	SnapshotBytes int64
 	// CompactionsTotal counts manifest rewrites.
 	CompactionsTotal int64
-	// RecoveryManifestNS, RecoveryReplayNS and RecoveryLoadNS break
-	// RecoveryNS into its phases: manifest read, journal replay, and
-	// snapshot load+verify.
-	RecoveryManifestNS int64
-	RecoveryReplayNS   int64
-	RecoveryLoadNS     int64
 }
 
 // Log is the durable store: an fsync'd journal of mutations over
@@ -139,13 +133,10 @@ type Log struct {
 	manifestSeq int64 // last written manifest sequence
 	since       int64 // records since the last manifest
 
-	journalRecords     atomic.Int64
-	recoveryNS         atomic.Int64
-	recoveryManifestNS atomic.Int64
-	recoveryReplayNS   atomic.Int64
-	recoveryLoadNS     atomic.Int64
-	snapshotBytes      atomic.Int64
-	compactions        atomic.Int64
+	journalRecords atomic.Int64
+	recoveryNS     atomic.Int64
+	snapshotBytes  atomic.Int64
+	compactions    atomic.Int64
 
 	// fsyncHist and snapshotHist are nil-safe histograms (nil when
 	// Config.Obs is nil); observing on them is then a no-op.
@@ -235,7 +226,6 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	l.removeStrayTmp()
 
 	rec := &Recovered{}
-	phase := time.Now()
 	manifest, err := l.readCurrentManifest()
 	if err != nil {
 		return nil, nil, err
@@ -276,9 +266,6 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 		}
 	}
 
-	l.recoveryManifestNS.Store(time.Since(phase).Nanoseconds())
-	phase = time.Now()
-
 	// Replay journal segments at or above the manifest's floor, in
 	// sequence order, stopping inside each segment at the first invalid
 	// frame (the torn tail a crash leaves behind).
@@ -303,8 +290,6 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 		}
 		rec.JournalRecords += int64(len(recs))
 	}
-	l.recoveryReplayNS.Store(time.Since(phase).Nanoseconds())
-	phase = time.Now()
 
 	// Load and verify every live graph, plus the ground truths and
 	// representation spill they reference.
@@ -340,7 +325,6 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 		rec.Reps = append(rec.Reps, RecoveredRep{Key: k, Texts1: texts1, Texts2: texts2})
 	}
 	rec.NextVersion = l.nextVersion
-	l.recoveryLoadNS.Store(time.Since(phase).Nanoseconds())
 
 	// Begin a fresh segment strictly after everything on disk, so a
 	// torn tail in an old segment is never appended to.
@@ -928,9 +912,6 @@ func (l *Log) Metrics() Metrics {
 		RecoveryNS:          l.recoveryNS.Load(),
 		SnapshotBytes:       l.snapshotBytes.Load(),
 		CompactionsTotal:    l.compactions.Load(),
-		RecoveryManifestNS:  l.recoveryManifestNS.Load(),
-		RecoveryReplayNS:    l.recoveryReplayNS.Load(),
-		RecoveryLoadNS:      l.recoveryLoadNS.Load(),
 	}
 }
 

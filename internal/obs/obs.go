@@ -5,26 +5,22 @@
 // and slow-request structured logging, and Prometheus text exposition
 // over everything registered.
 //
-// Every type in the package is nil-receiver safe: a nil *Registry (the
-// Disabled registry), nil *Counter, nil *Histogram, nil *Trace and nil
-// *Tracer are all inert no-ops, so instrumented code paths need no
-// branches — construction decides whether observability is on, and the
-// per-observation cost of "off" is a nil check. Observations on live
-// metrics are single atomic adds (histograms: one binary search over a
-// small fixed bucket table plus two adds), cheap enough for hot paths.
+// Every type in the package is nil-receiver safe: a nil *Registry, nil
+// *Counter, nil *Histogram, nil *Trace and nil *Tracer are all inert
+// no-ops, so instrumented code paths need no branches — construction
+// decides whether observability is on, and the per-observation cost of
+// "off" is a nil check. Observations on live metrics are single atomic
+// adds (histograms: one binary search over a small fixed bucket table
+// plus two adds), cheap enough for hot paths.
 package obs
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Disabled is the nil registry: every metric handle it returns is a
-// no-op. Benchmarks compare instrumented runs against it to pin the
-// overhead of the observability layer.
-var Disabled *Registry
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -242,5 +238,38 @@ func (r *Registry) families() []*family {
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// Values reads the current value of every counter and gauge family
+// whose name starts with prefix, keyed by the name without it: an int64
+// for a counter, a float64 for a gauge, and a map of label value to
+// sample for a labeled family. Histograms are left out. It is the one
+// read-out behind a JSON metrics view, so a family registered once
+// appears there and in the Prometheus exposition alike. A nil registry
+// reads nothing.
+func (r *Registry) Values(prefix string) map[string]any {
+	if r == nil {
+		return nil
+	}
+	out := map[string]any{}
+	for _, fam := range r.families() {
+		key, ok := strings.CutPrefix(fam.name, prefix)
+		if !ok {
+			continue
+		}
+		switch {
+		case fam.counter != nil:
+			out[key] = fam.counter.Load()
+		case fam.counterFn != nil:
+			out[key] = fam.counterFn()
+		case fam.gaugeFn != nil:
+			out[key] = fam.gaugeFn()
+		case fam.labeledFn != nil:
+			out[key] = fam.labeledFn()
+		case fam.vec != nil:
+			out[key] = fam.vec.Snapshot()
+		}
+	}
 	return out
 }

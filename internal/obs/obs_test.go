@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 // TestDisabledRegistry: the nil registry and every handle it returns
 // must be inert, including snapshotting and exposition.
 func TestDisabledRegistry(t *testing.T) {
-	r := Disabled
+	var r *Registry
 	r.Counter("a_total", "").Add(5)
 	r.CounterVec("b_total", "", "k").With("v").Inc()
 	r.Histogram("c_seconds", "").Observe(time.Second)
@@ -48,6 +49,9 @@ func TestDisabledRegistry(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry exposition wrote %q, err %v", sb.String(), err)
 	}
+	if v := r.Values(""); v != nil {
+		t.Fatalf("nil registry read out %v", v)
+	}
 	var c *Counter
 	c.Inc()
 	c.Add(10)
@@ -57,9 +61,9 @@ func TestDisabledRegistry(t *testing.T) {
 }
 
 // TestRegistryConcurrentHammer drives counters, vecs and histograms
-// from many goroutines while snapshots and expositions run, relying on
-// -race to flag unsynchronized access, and on the totals to prove no
-// lost updates.
+// from many goroutines while snapshots, read-outs and expositions run,
+// relying on -race to flag unsynchronized access, and on the totals to
+// prove no lost updates.
 func TestRegistryConcurrentHammer(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits_total", "")
@@ -87,6 +91,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 				hv.With(lbl).Observe(time.Duration(i) * time.Microsecond)
 				if i%500 == 0 {
 					_ = r.WritePrometheus(io.Discard)
+					_ = r.Values("")
 					_ = h.Snapshot()
 					_ = vec.Snapshot()
 				}
@@ -114,5 +119,34 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	}
 	if hvSum != workers*perWorker {
 		t.Fatalf("histogram vec lost updates: %d, want %d", hvSum, workers*perWorker)
+	}
+}
+
+// TestRegistryValues: the read-out holds every counter and gauge family
+// under the prefix, keyed without it, and leaves histograms and other
+// prefixes out.
+func TestRegistryValues(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("p_owned_total", "").Add(3)
+	r.CounterFunc("p_read_total", "", func() int64 { return 4 })
+	r.GaugeFunc("p_level", "", func() float64 { return 1.5 })
+	r.CounterVec("p_vec_total", "", "k").With("a").Add(2)
+	r.CounterVec("p_empty_total", "", "k")
+	r.LabeledGaugeFunc("p_labeled", "", "k", func() map[string]int64 { return map[string]int64{"b": 1} })
+	r.Histogram("p_lat_seconds", "").Observe(time.Millisecond)
+	r.HistogramVec("p_vec_seconds", "", "k").With("a").Observe(time.Millisecond)
+	r.Counter("q_other_total", "").Inc()
+
+	got := r.Values("p_")
+	want := map[string]any{
+		"owned_total": int64(3),
+		"read_total":  int64(4),
+		"level":       1.5,
+		"vec_total":   map[string]int64{"a": 2},
+		"empty_total": map[string]int64{},
+		"labeled":     map[string]int64{"b": 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Values = %#v, want %#v", got, want)
 	}
 }

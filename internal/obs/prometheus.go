@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,6 +11,22 @@ import (
 
 // ContentType is the Prometheus text exposition content type.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// WantsPrometheus decides which view a /metrics request gets: an
+// explicit ?format=prometheus or ?format=json wins, then an Accept
+// header naming text/plain or an openmetrics type (what a Prometheus
+// scraper sends; browsers and JSON consumers do not) selects the
+// exposition. The default is JSON.
+func WantsPrometheus(r *http.Request) bool {
+	switch r.URL.Query().Get("format") {
+	case "prometheus":
+		return true
+	case "json":
+		return false
+	}
+	accept := r.Header.Get("Accept")
+	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
+}
 
 // WritePrometheus renders every registered metric family in the
 // Prometheus text exposition format (version 0.0.4): HELP/TYPE

@@ -189,182 +189,20 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"traces": views})
 }
 
-// metricsResponse is the flat expvar-style counter set of /metrics.
-type metricsResponse struct {
-	UptimeSeconds       float64 `json:"uptime_seconds"`
-	RequestsTotal       int64   `json:"requests_total"`
-	ErrorsTotal         int64   `json:"errors_total"`
-	GraphsStored        int     `json:"graphs_stored"`
-	GraphsCreatedTotal  int64   `json:"graphs_created_total"`
-	MatchRequestsTotal  int64   `json:"match_requests_total"`
-	MatchingsRunTotal   int64   `json:"matchings_run_total"`
-	SweepsCreatedTotal  int64   `json:"sweeps_created_total"`
-	CacheHitsTotal      int64   `json:"cache_hits_total"`
-	CacheMissesTotal    int64   `json:"cache_misses_total"`
-	CacheEvictionsTotal int64   `json:"cache_evictions_total"`
-	CacheSize           int     `json:"cache_size"`
-	CacheCapacity       int     `json:"cache_capacity"`
-	CacheHitRate        float64 `json:"cache_hit_rate"`
-	JobsQueued          int     `json:"jobs_queued"`
-	JobsRunning         int     `json:"jobs_running"`
-	JobsLive            int     `json:"jobs_live"`
-	JobsDone            int     `json:"jobs_done"`
-	JobsFailed          int     `json:"jobs_failed"`
-	JobsCancelled       int     `json:"jobs_cancelled"`
-	// Similarity-graph generation timing: cumulative build nanoseconds
-	// and build counts keyed by dataset and, separately, by weight
-	// family (single-measure generation counts under SB-SYN, the family
-	// its string measures belong to), so the corpus-build fast path's
-	// throughput — and the character-kernel share inside SB-SYN — is
-	// observable on the resident service.
-	GenerateNSTotal       map[string]int64 `json:"generate_ns_total,omitempty"`
-	GeneratesTotal        map[string]int64 `json:"generates_total,omitempty"`
-	GenerateFamilyNSTotal map[string]int64 `json:"generate_family_ns_total,omitempty"`
-	GeneratesFamilyTotal  map[string]int64 `json:"generates_family_total,omitempty"`
-	// Candidate-filter counters per family: kernel blocks computed vs.
-	// provably skipped by the lossless zero-score filters, and the
-	// overall skip ratio skipped/(visited+skipped).
-	GenPairsVisitedTotal map[string]int64 `json:"generate_pairs_visited_total,omitempty"`
-	GenPairsSkippedTotal map[string]int64 `json:"generate_pairs_skipped_total,omitempty"`
-	GenSkipRatio         float64          `json:"generate_skip_ratio"`
-	// Cross-build representation cache (TF/TF-IDF spaces, n-gram
-	// graphs, embeddings, attribute profiles) counters; zero when the
-	// caches are disabled (RepCacheDatasets < 0).
-	RepCacheHitsTotal      int64 `json:"repcache_hits_total"`
-	RepCacheMissesTotal    int64 `json:"repcache_misses_total"`
-	RepCacheEvictionsTotal int64 `json:"repcache_evictions_total"`
-	RepCacheEntries        int   `json:"repcache_entries"`
-	// Durable-store counters (internal/durable); all zero when the
-	// service runs without a data directory.
-	JournalRecordsTotal   int64 `json:"journal_records_total"`
-	RecoveryNS            int64 `json:"recovery_ns"`
-	SnapshotBytes         int64 `json:"snapshot_bytes"`
-	CompactionsTotal      int64 `json:"compactions_total"`
-	RepCacheReloadedTotal int64 `json:"repcache_reloaded_total"`
-	// Per-status-class request counters and request-duration quantile
-	// estimates (from the fixed-bucket latency histogram); absent when
-	// observability is disabled.
-	RequestsByClassTotal map[string]int64 `json:"requests_by_class_total,omitempty"`
-	HTTPRequestP50MS     float64          `json:"http_request_p50_ms,omitempty"`
-	HTTPRequestP95MS     float64          `json:"http_request_p95_ms,omitempty"`
-	HTTPRequestP99MS     float64          `json:"http_request_p99_ms,omitempty"`
-	// Overload-protection counters: admission queue state, sheds by
-	// machine-readable reason (every reason always present, zero before
-	// any shed), requests coalesced onto an identical in-flight
-	// computation, and deadline (504) hits by route.
-	AdmissionQueueDepth int              `json:"admission_queue_depth"`
-	AdmissionInFlight   int              `json:"admission_inflight"`
-	AdmittedTotal       int64            `json:"admitted_total"`
-	ShedTotal           map[string]int64 `json:"shed_total"`
-	CoalesceHitsTotal   int64            `json:"coalesce_hits_total"`
-	RequestTimeoutTotal map[string]int64 `json:"request_timeout_total,omitempty"`
-	// Requests answered 499 because the client went away mid-request.
-	// Kept out of the 5xx error class so a cluster router's cancelled
-	// hedges and abandoned retries do not read as backend failures.
-	ClientDisconnectsTotal int64 `json:"client_disconnects_total"`
-}
-
-// wantsPrometheus decides the /metrics representation: an explicit
-// ?format= wins, then Accept-header negotiation (a Prometheus scraper
-// asks for text/plain or an openmetrics type; browsers and the existing
-// JSON consumers do not). The default stays JSON for backward
-// compatibility.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
-}
-
+// handleMetrics serves the registry's two views: the Prometheus
+// exposition or the flat JSON of metricsJSON, as obs.WantsPrometheus
+// negotiates. With observability disabled there is nothing to render.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r) {
-		if s.obs == nil {
-			writeError(w, http.StatusNotFound, "metrics registry disabled")
-			return
-		}
+	if s.obs == nil {
+		writeError(w, http.StatusNotFound, "metrics registry disabled")
+		return
+	}
+	if obs.WantsPrometheus(r) {
 		w.Header().Set("Content-Type", obs.ContentType)
 		_ = s.obs.WritePrometheus(w)
 		return
 	}
-	hits, misses, evictions := s.cache.Stats()
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-	genNanos, genCount, famNanos, famCount, famVisited, famSkipped := s.gen.snapshot()
-	var visitedSum, skippedSum int64
-	for _, v := range famVisited {
-		visitedSum += v
-	}
-	for _, v := range famSkipped {
-		skippedSum += v
-	}
-	skipRatio := 0.0
-	if visitedSum+skippedSum > 0 {
-		skipRatio = float64(skippedSum) / float64(visitedSum+skippedSum)
-	}
-	repStats := s.reps.Stats()
-	durMetrics := s.log.Metrics()
-	jobs := s.jobs.Counts()
-	var httpP50, httpP95, httpP99 float64
-	if hs := s.httpDur.Snapshot(); hs.Count > 0 {
-		httpP50 = float64(hs.Quantile(0.50)) / 1e6
-		httpP95 = float64(hs.Quantile(0.95)) / 1e6
-		httpP99 = float64(hs.Quantile(0.99)) / 1e6
-	}
-	writeJSON(w, http.StatusOK, metricsResponse{
-		RequestsByClassTotal:   s.classReqs.Snapshot(),
-		HTTPRequestP50MS:       httpP50,
-		HTTPRequestP95MS:       httpP95,
-		HTTPRequestP99MS:       httpP99,
-		AdmissionQueueDepth:    s.limiter.Depth(),
-		AdmissionInFlight:      s.limiter.InUse(),
-		AdmittedTotal:          s.limiter.Admitted(),
-		ShedTotal:              s.shedCounts(),
-		CoalesceHitsTotal:      s.coalesceHits(),
-		RequestTimeoutTotal:    s.timeoutsByRoute.Snapshot(),
-		ClientDisconnectsTotal: s.disconnects.Load(),
-		JournalRecordsTotal:    durMetrics.JournalRecordsTotal,
-		RecoveryNS:             durMetrics.RecoveryNS,
-		SnapshotBytes:          durMetrics.SnapshotBytes,
-		CompactionsTotal:       durMetrics.CompactionsTotal,
-		RepCacheReloadedTotal:  s.repReloaded.Load(),
-		GenerateNSTotal:        genNanos,
-		GeneratesTotal:         genCount,
-		GenerateFamilyNSTotal:  famNanos,
-		GeneratesFamilyTotal:   famCount,
-		GenPairsVisitedTotal:   famVisited,
-		GenPairsSkippedTotal:   famSkipped,
-		GenSkipRatio:           skipRatio,
-		RepCacheHitsTotal:      repStats.Hits,
-		RepCacheMissesTotal:    repStats.Misses,
-		RepCacheEvictionsTotal: repStats.Evictions,
-		RepCacheEntries:        repStats.Entries,
-		UptimeSeconds:          s.uptimeSeconds(),
-		RequestsTotal:          s.requests.Load(),
-		ErrorsTotal:            s.errors.Load(),
-		GraphsStored:           s.store.Len(),
-		GraphsCreatedTotal:     s.graphsCreated.Load(),
-		MatchRequestsTotal:     s.matchRequests.Load(),
-		MatchingsRunTotal:      s.matchingsRun.Load(),
-		SweepsCreatedTotal:     s.sweepsCreated.Load(),
-		CacheHitsTotal:         hits,
-		CacheMissesTotal:       misses,
-		CacheEvictionsTotal:    evictions,
-		CacheSize:              s.cache.Len(),
-		CacheCapacity:          s.cache.Capacity(),
-		CacheHitRate:           hitRate,
-		JobsQueued:             jobs.Queued,
-		JobsRunning:            jobs.Running,
-		JobsLive:               jobs.Live(),
-		JobsDone:               jobs.Done,
-		JobsFailed:             jobs.Failed,
-		JobsCancelled:          jobs.Cancelled,
-	})
+	writeJSON(w, http.StatusOK, s.metricsJSON())
 }
 
 // graphInfo is the JSON view of a stored graph.
@@ -610,8 +448,7 @@ func (s *Server) generateMeasureReply(ctx context.Context, trace *obs.Trace, req
 	// syntactic weight, the paper's SB-SYN family; its filter counters
 	// feed the same skip-ratio metrics as family mode.
 	elapsed := time.Since(start)
-	s.gen.recordStats(spec.ID, string(simgraph.SBSyn), elapsed, fs.Visited, fs.Skipped)
-	s.genDur.With(string(simgraph.SBSyn)).Observe(elapsed)
+	s.gen.record(spec.ID, string(simgraph.SBSyn), elapsed, fs)
 	entry, err := s.store.Put(&GraphEntry{
 		Name:     req.Name,
 		Graph:    g,
@@ -714,8 +551,7 @@ func (s *Server) generateFamilyReply(ctx context.Context, trace *obs.Trace, req 
 	}
 	fs := genStats.Of(family)
 	elapsed := time.Since(start)
-	s.gen.recordStats(spec.ID, string(family), elapsed, fs.Visited, fs.Skipped)
-	s.genDur.With(string(family)).Observe(elapsed)
+	s.gen.record(spec.ID, string(family), elapsed, fs)
 
 	// Checksumming is pure per graph; only the commits below are ordered.
 	sums := make([]uint64, len(graphs))

@@ -57,7 +57,10 @@ var erserveJSONKeys = map[string]string{
 
 // erserveExtraKeys are keys the JSON view may carry beyond
 // erserveJSONKeys. Entries may be added, never removed.
-var erserveExtraKeys = map[string]string{}
+var erserveExtraKeys = map[string]string{
+	"http_requests_by_route_total": kindObject,
+	"recovery_seconds":             kindNumber,
+}
 
 // erserveFamilies is the Prometheus view of a durable erserve after
 // the pinned sequence, one "name type label-key help" line per family
@@ -123,7 +126,13 @@ var routerJSONKeys = map[string]string{
 
 // routerExtraKeys are keys the router's JSON view may carry beyond
 // routerJSONKeys. Entries may be added, never removed.
-var routerExtraKeys = map[string]string{}
+var routerExtraKeys = map[string]string{
+	"backends": kindNumber, "backend_healthy": kindObject,
+	"breaker_opens_total": kindObject, "probe_failures_total": kindObject,
+	"repair_scans_total": kindNumber, "repair_graphs_repaired_total": kindNumber,
+	"repair_bytes_total": kindNumber, "repair_failures_total": kindNumber,
+	"repair_diverged_graphs": kindNumber, "repair_divergence": kindObject,
+}
 
 // routerFamilies is the router's Prometheus view, as erserveFamilies.
 var routerFamilies = []string{

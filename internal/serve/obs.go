@@ -4,16 +4,17 @@ import (
 	"time"
 
 	"github.com/ccer-go/ccer/internal/obs"
+	"github.com/ccer-go/ccer/internal/simgraph"
 )
 
-// initObs builds the metrics registry and request tracer. Everything the
-// JSON /metrics response reports is registered here, so the Prometheus
-// exposition covers the same counter set: registry-owned instruments for
-// the request path, reader funcs for the counters that live with their
-// owners (result cache, job queue, representation caches, durable log,
-// generation stats). The reader funcs capture s and read lazily at
-// scrape time, so registration order against field initialization does
-// not matter — every field is set before New returns.
+// initObs builds the metrics registry and request tracer. The registry
+// is the only source of both /metrics views (see metricsJSON):
+// registry-owned instruments for the request path and generation,
+// reader funcs for the counters that live with their owners (result
+// cache, job queue, representation caches, durable log). The reader
+// funcs capture s and read lazily at scrape time, so registration order
+// against field initialization does not matter — every field is set
+// before New returns.
 //
 // With Config.DisableObs the registry and tracer stay nil and every
 // handle below is an inert no-op (the obs package's nil-receiver
@@ -39,8 +40,6 @@ func (s *Server) initObs() {
 	s.httpDur = r.Histogram("ccer_http_request_seconds", "HTTP request wall time.")
 	s.matchDur = r.HistogramVec("ccer_match_seconds",
 		"Latency of one matching run, by algorithm.", "algorithm")
-	s.genDur = r.HistogramVec("ccer_generate_seconds",
-		"Latency of one similarity-graph generation, by weight family.", "family")
 	s.sweepDur = r.Histogram("ccer_sweep_seconds", "Latency of one sweep job execution.")
 	s.timeoutsByRoute = r.CounterVec("ccer_request_timeout_total",
 		"Requests that exceeded their deadline (HTTP 504), by route.", "route")
@@ -114,42 +113,22 @@ func (s *Server) initObs() {
 	r.CounterFunc("ccer_compactions_total", "Durable-store manifest rewrites.",
 		func() int64 { return s.log.Metrics().CompactionsTotal })
 
-	r.LabeledCounterFunc("ccer_generate_ns_total",
-		"Cumulative similarity-graph generation nanoseconds, by weight family.", "family",
-		func() map[string]int64 {
-			_, _, famNanos, _, _, _ := s.gen.snapshot()
-			return famNanos
-		})
-	r.LabeledCounterFunc("ccer_generates_total",
-		"Similarity-graph generations, by weight family.", "family",
-		func() map[string]int64 {
-			_, _, _, famCount, _, _ := s.gen.snapshot()
-			return famCount
-		})
-	r.LabeledCounterFunc("ccer_generate_dataset_ns_total",
-		"Cumulative similarity-graph generation nanoseconds, by dataset.", "dataset",
-		func() map[string]int64 {
-			nanos, _, _, _, _, _ := s.gen.snapshot()
-			return nanos
-		})
-	r.LabeledCounterFunc("ccer_generate_dataset_total",
-		"Similarity-graph generations, by dataset.", "dataset",
-		func() map[string]int64 {
-			_, count, _, _, _, _ := s.gen.snapshot()
-			return count
-		})
-	r.LabeledCounterFunc("ccer_generate_pairs_visited_total",
-		"Kernel blocks computed during generation, by weight family.", "family",
-		func() map[string]int64 {
-			_, _, _, _, famVisited, _ := s.gen.snapshot()
-			return famVisited
-		})
-	r.LabeledCounterFunc("ccer_generate_pairs_skipped_total",
-		"Kernel blocks provably skipped by the lossless filters, by weight family.", "family",
-		func() map[string]int64 {
-			_, _, _, _, _, famSkipped := s.gen.snapshot()
-			return famSkipped
-		})
+	s.gen = genMetrics{
+		dur: r.HistogramVec("ccer_generate_seconds",
+			"Latency of one similarity-graph generation, by weight family.", "family"),
+		ns: r.CounterVec("ccer_generate_ns_total",
+			"Cumulative similarity-graph generation nanoseconds, by weight family.", "family"),
+		count: r.CounterVec("ccer_generates_total",
+			"Similarity-graph generations, by weight family.", "family"),
+		datasetNS: r.CounterVec("ccer_generate_dataset_ns_total",
+			"Cumulative similarity-graph generation nanoseconds, by dataset.", "dataset"),
+		datasetCount: r.CounterVec("ccer_generate_dataset_total",
+			"Similarity-graph generations, by dataset.", "dataset"),
+		visited: r.CounterVec("ccer_generate_pairs_visited_total",
+			"Kernel blocks computed during generation, by weight family.", "family"),
+		skipped: r.CounterVec("ccer_generate_pairs_skipped_total",
+			"Kernel blocks provably skipped by the lossless filters, by weight family.", "family"),
+	}
 
 	tracer := obs.NewTracer(s.cfg.TraceRing)
 	tracer.SlowThreshold = s.cfg.TraceSlow
@@ -158,9 +137,82 @@ func (s *Server) initObs() {
 	s.tracer = tracer
 }
 
-// uptimeSeconds is the one uptime computation /healthz and /metrics
-// share: the registry's start time when observability is on, the
-// server's otherwise.
+// genMetrics records similarity-graph generation per weight family
+// (SB-SYN / SA-SYN / SB-SEM / SA-SEM) and per dataset, with the
+// candidate-filter counters (kernel blocks computed vs. provably
+// skipped by the lossless zero-score filters), so the corpus-build fast
+// path and its pruning are observable on a resident service.
+type genMetrics struct {
+	dur                     *obs.HistogramVec
+	ns, count               *obs.CounterVec // by family
+	datasetNS, datasetCount *obs.CounterVec
+	visited, skipped        *obs.CounterVec // by family
+}
+
+// record adds one generation of dataset's graphs under family.
+func (g genMetrics) record(dataset, family string, d time.Duration, fs simgraph.FamilyStats) {
+	g.dur.With(family).Observe(d)
+	g.ns.With(family).Add(int64(d))
+	g.count.With(family).Inc()
+	g.datasetNS.With(dataset).Add(int64(d))
+	g.datasetCount.With(dataset).Inc()
+	g.visited.With(family).Add(fs.Visited)
+	g.skipped.With(family).Add(fs.Skipped)
+}
+
+// jsonKeys renames the registry families whose JSON /metrics key
+// predates the registry (keys are family names without "ccer_").
+var jsonKeys = map[string]string{
+	"jobs_done_total":              "jobs_done",
+	"jobs_failed_total":            "jobs_failed",
+	"jobs_cancelled_total":         "jobs_cancelled",
+	"generate_ns_total":            "generate_family_ns_total",
+	"generates_total":              "generates_family_total",
+	"generate_dataset_ns_total":    "generate_ns_total",
+	"generate_dataset_total":       "generates_total",
+	"http_requests_by_class_total": "requests_by_class_total",
+}
+
+// metricsJSON is the JSON /metrics view: every counter and gauge family
+// of the registry, plus the keys computed from them.
+func (s *Server) metricsJSON() map[string]any {
+	m := map[string]any{}
+	for k, v := range s.obs.Values("ccer_") {
+		if renamed, ok := jsonKeys[k]; ok {
+			k = renamed
+		}
+		m[k] = v
+	}
+	hits, misses, _ := s.cache.Stats()
+	m["cache_hit_rate"] = ratio(hits, hits+misses)
+	m["jobs_live"] = s.jobs.Counts().Live()
+	var visited, skipped int64
+	for _, v := range s.gen.visited.Snapshot() {
+		visited += v
+	}
+	for _, v := range s.gen.skipped.Snapshot() {
+		skipped += v
+	}
+	m["generate_skip_ratio"] = ratio(skipped, visited+skipped)
+	m["recovery_ns"] = s.log.Metrics().RecoveryNS
+	hs := s.httpDur.Snapshot() // Quantile reads 0 before the first request
+	m["http_request_p50_ms"] = float64(hs.Quantile(0.50)) / 1e6
+	m["http_request_p95_ms"] = float64(hs.Quantile(0.95)) / 1e6
+	m["http_request_p99_ms"] = float64(hs.Quantile(0.99)) / 1e6
+	return m
+}
+
+// ratio is part/whole, or 0 when whole is 0.
+func ratio(part, whole int64) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return float64(part) / float64(whole)
+}
+
+// uptimeSeconds is /healthz's uptime: the registry's clock, which
+// ccer_uptime_seconds reads, when observability is on; the server's
+// otherwise.
 func (s *Server) uptimeSeconds() float64 {
 	if s.obs != nil {
 		return s.obs.Uptime().Seconds()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,8 +91,8 @@ type Config struct {
 	ObsLog io.Writer
 	// DisableObs turns the metrics registry and request tracer off
 	// entirely (every instrument becomes a nil no-op). It exists to
-	// measure instrumentation overhead; a disabled server still serves
-	// /metrics, but with zeroed request counters and no Prometheus view.
+	// measure instrumentation overhead; a disabled server answers
+	// /metrics with 404 in both views.
 	DisableObs bool
 	// MatchTimeout bounds one POST /v1/match request end to end: the
 	// handler derives a context.WithTimeout child and the compute layer
@@ -179,61 +178,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// genStats accumulates similarity-graph generation timing per dataset
-// AND per weight family (SB-SYN / SA-SYN / SB-SEM / SA-SEM), plus the
-// candidate-filter counters (pairs visited vs. provably skipped by the
-// lossless zero-score filters), so the corpus-build fast path's effect
-// — and the pruning's skip ratio — is observable on /metrics of a
-// resident service.
-type genStats struct {
-	mu         sync.Mutex
-	nanos      map[string]int64
-	count      map[string]int64
-	famNanos   map[string]int64
-	famCount   map[string]int64
-	famVisited map[string]int64
-	famSkipped map[string]int64
-}
-
-func (s *genStats) record(dataset, family string, d time.Duration) {
-	s.recordStats(dataset, family, d, 0, 0)
-}
-
-func (s *genStats) recordStats(dataset, family string, d time.Duration, visited, skipped int64) {
-	s.mu.Lock()
-	if s.nanos == nil {
-		s.nanos = map[string]int64{}
-		s.count = map[string]int64{}
-		s.famNanos = map[string]int64{}
-		s.famCount = map[string]int64{}
-		s.famVisited = map[string]int64{}
-		s.famSkipped = map[string]int64{}
-	}
-	s.nanos[dataset] += int64(d)
-	s.count[dataset]++
-	s.famNanos[family] += int64(d)
-	s.famCount[family]++
-	s.famVisited[family] += visited
-	s.famSkipped[family] += skipped
-	s.mu.Unlock()
-}
-
-// snapshot returns copies of the cumulative nanoseconds, build counts
-// and candidate counters, keyed by dataset and by family.
-func (s *genStats) snapshot() (nanos, count, famNanos, famCount, famVisited, famSkipped map[string]int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	copyMap := func(m map[string]int64) map[string]int64 {
-		out := make(map[string]int64, len(m))
-		for k, v := range m {
-			out[k] = v
-		}
-		return out
-	}
-	return copyMap(s.nanos), copyMap(s.count), copyMap(s.famNanos), copyMap(s.famCount),
-		copyMap(s.famVisited), copyMap(s.famSkipped)
-}
-
 // Server is the resident ER matching service: a graph store, a result
 // cache and a sweep job queue behind an HTTP JSON API. Create one with
 // New, mount Handler on an http.Server, and Close it on shutdown.
@@ -243,7 +187,6 @@ type Server struct {
 	cache   *ResultCache
 	jobs    *JobQueue
 	mux     *http.ServeMux
-	gen     genStats
 	reps    *simgraph.RepCaches // nil when disabled
 	log     *durable.Log        // nil when DataDir is unset
 	started time.Time
@@ -255,9 +198,9 @@ type Server struct {
 	obs    *obs.Registry
 	tracer *obs.Tracer
 
-	// Request-level counters and latency histograms (registry-owned;
-	// cache, job, durable and generation counters stay with their owners
-	// and reach the registry through reader funcs — see initObs).
+	// Request-level and generation counters and latency histograms
+	// (registry-owned; cache, job and durable counters stay with their
+	// owners and reach the registry through reader funcs — see initObs).
 	requests      *obs.Counter
 	errors        *obs.Counter
 	graphsCreated *obs.Counter
@@ -268,8 +211,8 @@ type Server struct {
 	routeReqs     *obs.CounterVec   // by mux route pattern
 	httpDur       *obs.Histogram    // request wall time
 	matchDur      *obs.HistogramVec // one Match call, by algorithm
-	genDur        *obs.HistogramVec // one generation, by family
 	sweepDur      *obs.Histogram    // one sweep job execution
+	gen           genMetrics
 
 	// repReloaded counts representation-cache entries rewarmed from the
 	// durable spill at boot.
