@@ -52,7 +52,7 @@ func (a Auction) Match(g *graph.Bipartite, t float64) []Pair {
 	}
 	cands := make([][]cand, nPersons)
 	for _, e := range g.Edges() {
-		if e.W <= t {
+		if !(e.W > t) {
 			continue
 		}
 		p, o := int32(e.U), int32(e.V)

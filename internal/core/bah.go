@@ -24,6 +24,14 @@ const (
 // BAH is stochastic: the paper finds it the least robust algorithm and by
 // far the slowest under the default caps, while occasionally achieving the
 // best F-measure on balanced collections.
+//
+// A step costs two random loads into the graph: Match keeps each
+// large-side node's current pair weight in a per-call array, so it
+// probes only the two pairs a swap would make. Small graphs instead
+// build a per-call thresholded matrix, whose four loads a step are
+// cheaper than the threshold tests of the graph's cached matrix at
+// corpus size. Draws replay a cached stream of the seed's sequence
+// (randstream.go).
 type BAH struct {
 	// Seed seeds the random number generator, making a run reproducible.
 	Seed int64
@@ -71,7 +79,7 @@ func (b BAH) Match(g *graph.Bipartite, t float64) []Pair {
 	}
 	// No edge exceeds the threshold: every pair contribution is 0, so
 	// the random walk cannot change the (empty) output — skip it.
-	if g.MaxWeight() <= t {
+	if !(g.MaxWeight() > t) {
 		return nil
 	}
 
@@ -96,9 +104,13 @@ func (b BAH) Match(g *graph.Bipartite, t float64) []Pair {
 	deadline := time.Now().Add(maxDur)
 	const chunk = 256 // steps between deadline checks, as in the classic loop
 
-	// pairW(large, small) is the pair contribution: the edge weight if
-	// the edge exists and exceeds t, else 0 (Algorithm 4, lines 3-6).
-	var pairW func(large, small graph.NodeID) float64
+	// cur[i] is large node i's pair contribution: the weight of its edge
+	// to p[i] if that edge exists and exceeds t, else 0 (Algorithm 4,
+	// lines 3-6). The walk's general paths keep it current, so a step
+	// probes only the two pairs a swap would make, and an accepted
+	// swap's probes become the two new contributions.
+	var cbuf [512]float64
+	cur := scratch(cbuf[:], nLarge)
 
 	stride := nSmall + 1
 	if cells := nLarge * stride; cells <= 2*maxSteps {
@@ -126,10 +138,7 @@ func (b BAH) Match(g *graph.Bipartite, t float64) []Pair {
 			if time.Now().After(deadline) {
 				break
 			}
-			end := base + chunk
-			if end > maxSteps {
-				end = maxSteps
-			}
+			end := min(base+chunk, maxSteps)
 			draws := src.pairs(base, end)
 			for s := 0; s < end-base; s++ {
 				i := draws[2*s]
@@ -140,89 +149,115 @@ func (b BAH) Match(g *graph.Bipartite, t float64) []Pair {
 				pi, pj := int(p[i])+1, int(p[j])+1
 				ri, rj := int(i)*stride, int(j)*stride
 				// Same association as the two-step accumulation of the
-				// general path: (gain_i) + (gain_j).
+				// seed body: (gain_i) + (gain_j).
 				delta := (wt[rj+pi] - wt[ri+pi]) + (wt[ri+pj] - wt[rj+pj])
 				if delta >= 0 {
 					p[i], p[j] = p[j], p[i]
 				}
 			}
 		}
-		pairW = func(large, small graph.NodeID) float64 {
-			return wt[int(large)*stride+int(small)+1]
+		for i := range p {
+			cur[i] = wt[i*stride+int(p[i])+1]
 		}
-	} else {
-		// General path over the graph's cached pair index (built once
-		// per graph, shared by the whole sweep): a direct strided probe
-		// of the cached dense matrix when the graph has one, else the
-		// hash map. WeightOrZero semantics fold the existence check
-		// into the weight: an absent edge reads as 0, which contributes
-		// 0 exactly like a present edge failing w > t.
-		lookup := g.PairWeights()
-		if dense, dn2 := lookup.DenseMatrix(); dense != nil {
-			strideL, strideS := dn2, 1
-			if swapped {
-				strideL, strideS = 1, dn2
-			}
-			pairW = func(large, small graph.NodeID) float64 {
-				if w := dense[int(large)*strideL+int(small)*strideS]; w > t {
-					return w
-				}
-				return 0
-			}
-		} else {
-			pairW = func(large, small graph.NodeID) float64 {
-				var w float64
-				if swapped {
-					w = lookup.WeightOrZero(small, large)
-				} else {
-					w = lookup.WeightOrZero(large, small)
-				}
-				if w > t {
-					return w
-				}
-				return 0
+	} else if dense, dn2 := g.PairWeights().DenseMatrix(); dense != nil {
+		// A direct strided probe of the graph's cached dense matrix
+		// (built once per graph, shared by the whole sweep). The step's
+		// delta keeps the seed body's association, (gain_i) + (gain_j),
+		// with a missing partner's gain 0.
+		strideL, strideS := dn2, 1
+		if swapped {
+			strideL, strideS = 1, dn2
+		}
+		for i := 0; i < nSmall; i++ {
+			if w := dense[i*strideL+i*strideS]; w > t {
+				cur[i] = w
 			}
 		}
 		for base := 0; base < maxSteps; base += chunk {
 			if time.Now().After(deadline) {
 				break
 			}
-			end := base + chunk
-			if end > maxSteps {
-				end = maxSteps
-			}
+			end := min(base+chunk, maxSteps)
 			draws := src.pairs(base, end)
 			for s := 0; s < end-base; s++ {
-				i := graph.NodeID(draws[2*s])
-				j := graph.NodeID(draws[2*s+1])
+				i, j := int(draws[2*s]), int(draws[2*s+1])
 				if i == j {
 					continue
 				}
-				delta := 0.0
-				if p[i] >= 0 {
-					delta += pairW(j, p[i]) - pairW(i, p[i])
+				pi, pj := p[i], p[j]
+				wi, wj := 0.0, 0.0 // pi's weight to j, pj's to i
+				if pi >= 0 {
+					if w := dense[j*strideL+int(pi)*strideS]; w > t {
+						wi = w
+					}
 				}
-				if p[j] >= 0 {
-					delta += pairW(i, p[j]) - pairW(j, p[j])
+				if pj >= 0 {
+					if w := dense[i*strideL+int(pj)*strideS]; w > t {
+						wj = w
+					}
 				}
-				if delta >= 0 {
-					p[i], p[j] = p[j], p[i]
+				if (wi-cur[i])+(wj-cur[j]) >= 0 {
+					p[i], p[j] = pj, pi
+					cur[i], cur[j] = wj, wi
+				}
+			}
+		}
+	} else {
+		// Graphs too large for a dense matrix probe the cached hash
+		// map. WeightOrZero folds the existence check into the weight,
+		// since an absent edge contributes 0 exactly like a present
+		// edge failing w > t.
+		lookup := g.PairWeights()
+		pairW := func(large, small graph.NodeID) float64 {
+			var w float64
+			if swapped {
+				w = lookup.WeightOrZero(small, large)
+			} else {
+				w = lookup.WeightOrZero(large, small)
+			}
+			if w > t {
+				return w
+			}
+			return 0
+		}
+		for i := 0; i < nSmall; i++ {
+			cur[i] = pairW(graph.NodeID(i), p[i])
+		}
+		for base := 0; base < maxSteps; base += chunk {
+			if time.Now().After(deadline) {
+				break
+			}
+			end := min(base+chunk, maxSteps)
+			draws := src.pairs(base, end)
+			for s := 0; s < end-base; s++ {
+				i, j := graph.NodeID(draws[2*s]), graph.NodeID(draws[2*s+1])
+				if i == j {
+					continue
+				}
+				pi, pj := p[i], p[j]
+				wi, wj := 0.0, 0.0
+				if pi >= 0 {
+					wi = pairW(j, pi)
+				}
+				if pj >= 0 {
+					wj = pairW(i, pj)
+				}
+				if (wi-cur[i])+(wj-cur[j]) >= 0 {
+					p[i], p[j] = pj, pi
+					cur[i], cur[j] = wj, wi
 				}
 			}
 		}
 	}
 
 	var pairs []Pair
-	for i := range p {
-		if p[i] < 0 {
-			continue
-		}
-		if w := pairW(graph.NodeID(i), p[i]); w > 0 {
+	for i, w := range cur {
+		if w > 0 { // a partner joined by an edge above t
+			u, v := graph.NodeID(i), p[i]
 			if swapped {
-				pairs = append(pairs, Pair{U: p[i], V: graph.NodeID(i), W: w})
-			} else {
-				pairs = append(pairs, Pair{U: graph.NodeID(i), V: p[i], W: w})
+				u, v = v, u
 			}
+			pairs = append(pairs, Pair{U: u, V: v, W: w})
 		}
 	}
 	SortPairs(pairs)

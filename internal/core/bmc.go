@@ -59,7 +59,7 @@ func bmcFrom(g *graph.Bipartite, t float64, fromV1 bool) []Pair {
 		for u := graph.NodeID(0); int(u) < g.N1(); u++ {
 			opp, ws := g.AdjList1(u) // descending weight
 			for k, w := range ws {
-				if w <= t {
+				if !(w > t) {
 					break
 				}
 				v := opp[k]
@@ -76,7 +76,7 @@ func bmcFrom(g *graph.Bipartite, t float64, fromV1 bool) []Pair {
 		for v := graph.NodeID(0); int(v) < g.N2(); v++ {
 			opp, ws := g.AdjList2(v)
 			for k, w := range ws {
-				if w <= t {
+				if !(w > t) {
 					break
 				}
 				u := opp[k]

@@ -38,5 +38,5 @@ func (CNC) Match(g *graph.Bipartite, t float64) []Pair {
 // onlyOneAbove reports whether exactly one weight of the descending
 // list ws is above t.
 func onlyOneAbove(ws []float64, t float64) bool {
-	return len(ws) > 0 && ws[0] > t && (len(ws) == 1 || ws[1] <= t)
+	return len(ws) > 0 && ws[0] > t && (len(ws) == 1 || !(ws[1] > t))
 }

@@ -167,7 +167,7 @@ func ValidateMatching(g *graph.Bipartite, pairs []Pair, t float64) error {
 		if w != p.W {
 			return fmt.Errorf("core: pair (%d,%d) weight %v, graph has %v", p.U, p.V, p.W, w)
 		}
-		if w <= t {
+		if !(w > t) {
 			return fmt.Errorf("core: pair (%d,%d) weight %v not above threshold %v", p.U, p.V, w, t)
 		}
 	}

@@ -184,6 +184,28 @@ func TestThresholdStrictlyGreater(t *testing.T) {
 	}
 }
 
+// A NaN threshold admits no edge: w > NaN is false for every weight, and
+// every matcher prunes with !(w > t), so none may return a pair, and
+// ValidateMatching rejects any pair at NaN.
+func TestNaNThresholdMatchesNothing(t *testing.T) {
+	b := graph.NewBuilder(3, 3)
+	for u := graph.NodeID(0); u < 3; u++ {
+		for v := graph.NodeID(0); v < 3; v++ {
+			b.Add(u, v, 0.1+0.3*float64(u)+0.1*float64(v))
+		}
+	}
+	g := b.MustBuild()
+	nan := math.NaN()
+	for _, name := range append(Names(), "HUN", "AUC") {
+		if got := ByName(name, 1).Match(g, nan); len(got) != 0 {
+			t.Errorf("%s at t=NaN: %v, want no pairs", name, got)
+		}
+	}
+	if err := ValidateMatching(g, []Pair{{0, 0, 0.1}}, nan); err == nil {
+		t.Error("ValidateMatching accepted a pair at t=NaN")
+	}
+}
+
 func TestByNameAndNames(t *testing.T) {
 	for _, name := range Names() {
 		m := ByName(name, 7)

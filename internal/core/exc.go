@@ -33,7 +33,7 @@ func (EXC) Match(g *graph.Bipartite, t float64) []Pair {
 	var pairs []Pair
 	for u := graph.NodeID(0); int(u) < g.N1(); u++ {
 		opp, ws := g.AdjList1(u)
-		if len(ws) == 0 || ws[0] <= t {
+		if len(ws) == 0 || !(ws[0] > t) {
 			continue
 		}
 		if v := opp[0]; best2[v] == u { // u's best edge

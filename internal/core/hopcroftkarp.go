@@ -26,7 +26,7 @@ func (HopcroftKarp) Match(g *graph.Bipartite, t float64) []Pair {
 	for u := 0; u < n1; u++ {
 		for _, ei := range g.Adj1(graph.NodeID(u)) {
 			e := g.Edge(ei)
-			if e.W <= t {
+			if !(e.W > t) {
 				break
 			}
 			adj[u] = append(adj[u], e.V)

@@ -12,9 +12,10 @@ import "github.com/ccer-go/ccer/internal/graph"
 // and proposes down his list again; on this second pass he also wins ties
 // against first-pass fiancés (the "promotion" of Király's second phase).
 //
-// A man's preference list is his cached adjacency list (graph.AdjList1),
-// sorted by descending weight, read through a cursor: his list is
-// exhausted when the cursor reaches its end or a weight not above t,
+// A man's preference list is his cached adjacency list, sorted by
+// descending weight and read from the graph's flat V1 arrays
+// (graph.Adjacency, fetched once per call) through a cursor: his list
+// is exhausted when the cursor reaches its end or a weight not above t,
 // so a proposal is O(1). A call costs O(n + proposals), and a man walks
 // his above-threshold prefix at most twice, once per chance.
 type KRC struct{}
@@ -25,6 +26,7 @@ func (KRC) Name() string { return "KRC" }
 // Match implements Matcher.
 func (KRC) Match(g *graph.Bipartite, t float64) []Pair {
 	n1, n2 := g.N1(), g.N2()
+	a1, _ := g.Adjacency()
 
 	var (
 		ptrBuf  [512]int32
@@ -33,7 +35,7 @@ func (KRC) Match(g *graph.Bipartite, t float64) []Pair {
 		fwBuf   [512]float64
 		enBuf   [512]int32
 	)
-	ptr := scratch(ptrBuf[:], n1)         // next preference index per man
+	ptr := scratch(ptrBuf[:], n1)         // next preference (a1 index) per man
 	lastChance := scratch(lastBuf[:], n1) // second-pass flag per man
 	fiance := scratch(fiBuf[:], n2)       // current man per woman, or -1
 	fianceW := scratch(fwBuf[:], n2)      // weight of the current engagement
@@ -43,12 +45,25 @@ func (KRC) Match(g *graph.Bipartite, t float64) []Pair {
 	}
 	for u := range engagedTo {
 		engagedTo[u] = -1
+		ptr[u] = a1.Off[u]
 	}
 
 	// freeM is a FIFO of free men, seeded in insertion order (Line 6).
-	freeM := make([]int32, 0, n1)
-	for u := 0; u < n1; u++ {
-		freeM = append(freeM, int32(u))
+	// A man joins it only when he is free and not in it, so it is a ring
+	// of n1 slots: queued men from head on, wrapping around.
+	var frBuf [512]int32
+	freeM := scratch(frBuf[:], n1)
+	for u := range freeM {
+		freeM[u] = int32(u)
+	}
+	head, queued := 0, n1
+	push := func(u int32) {
+		tail := head + queued
+		if tail >= n1 {
+			tail -= n1
+		}
+		freeM[tail] = u
+		queued++
 	}
 
 	accepts := func(v int32, u int32, w float64) bool {
@@ -58,22 +73,25 @@ func (KRC) Match(g *graph.Bipartite, t float64) []Pair {
 		return w == fianceW[v] && lastChance[u] && !lastChance[fiance[v]]
 	}
 
-	for len(freeM) > 0 {
-		u := freeM[0]
-		freeM = freeM[1:]
+	for queued > 0 {
+		u := freeM[head]
+		if head++; head == n1 {
+			head = 0
+		}
+		queued--
 		if engagedTo[u] >= 0 {
 			continue // engaged while waiting in the queue
 		}
-		opps, ws := g.AdjList1(u)
-		if int(ptr[u]) >= len(ws) || ws[ptr[u]] <= t {
+		k := ptr[u]
+		if k >= a1.Off[u+1] || !(a1.W[k] > t) {
 			if !lastChance[u] {
 				lastChance[u] = true
-				ptr[u] = 0 // recover the initial queue (Line 29)
-				freeM = append(freeM, u)
+				ptr[u] = a1.Off[u] // recover the initial queue (Line 29)
+				push(u)
 			}
 			continue // out of chances: u stays a singleton
 		}
-		v, w := opps[ptr[u]], ws[ptr[u]]
+		v, w := a1.Opp[k], a1.W[k]
 		ptr[u]++
 		if fiance[v] < 0 {
 			fiance[v], fianceW[v], engagedTo[u] = u, w, v
@@ -82,19 +100,18 @@ func (KRC) Match(g *graph.Bipartite, t float64) []Pair {
 		if accepts(v, u, w) {
 			old := fiance[v]
 			engagedTo[old] = -1
-			freeM = append(freeM, old) // old fiancé is free again
+			push(old) // old fiancé is free again
 			fiance[v], fianceW[v], engagedTo[u] = u, w, v
 			continue
 		}
-		freeM = append(freeM, u) // rejected: keep proposing
+		push(u) // rejected: keep proposing
 	}
 
-	var pairs []Pair
-	for v := int32(0); v < int32(n2); v++ {
-		if fiance[v] >= 0 {
-			pairs = append(pairs, Pair{U: fiance[v], V: v, W: fianceW[v]})
+	var pairs []Pair // in U order, so already sorted
+	for u, v := range engagedTo {
+		if v >= 0 {
+			pairs = append(pairs, Pair{U: graph.NodeID(u), V: v, W: fianceW[v]})
 		}
 	}
-	SortPairs(pairs)
 	return pairs
 }

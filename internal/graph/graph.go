@@ -494,6 +494,24 @@ func (g *Bipartite) AdjList2(v NodeID) (opp []int32, ws []float64) {
 	return g.adjOpp2[g.off2[v]:g.off2[v+1]], g.adjW2[g.off2[v]:g.off2[v+1]]
 }
 
+// Adjacency is one side's cached adjacency as flat CSR arrays, the
+// ones AdjList1 and AdjList2 slice: node x's neighbors are
+// Opp[Off[x]:Off[x+1]], with weights W[Off[x]:Off[x+1]] in descending
+// order (ties by ascending neighbor id). Callers must not modify it.
+type Adjacency struct {
+	Off []int32
+	Opp []int32
+	W   []float64
+}
+
+// Adjacency returns the V1 and V2 sides' cached adjacency, built once
+// per graph. A matcher that visits many nodes fetches it once per call
+// instead of paying AdjList1's build checks per node.
+func (g *Bipartite) Adjacency() (v1, v2 Adjacency) {
+	g.buildAdjCache()
+	return Adjacency{g.off1, g.adjOpp1, g.adjW1}, Adjacency{g.off2, g.adjOpp2, g.adjW2}
+}
+
 // Adj1 returns the edge indices incident to node u of V1 in descending
 // weight order. Callers must not modify the returned slice.
 func (g *Bipartite) Adj1(u NodeID) []int32 {

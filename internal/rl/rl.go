@@ -88,7 +88,7 @@ func (q QMatcher) Match(g *graph.Bipartite, t float64) []core.Pair {
 	var stream []graph.Edge
 	for _, ei := range g.EdgesByWeight() {
 		e := g.Edge(ei)
-		if e.W <= t {
+		if !(e.W > t) {
 			break
 		}
 		stream = append(stream, e)
