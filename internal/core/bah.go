@@ -148,8 +148,9 @@ func (b BAH) Match(g *graph.Bipartite, t float64) []Pair {
 				}
 				pi, pj := int(p[i])+1, int(p[j])+1
 				ri, rj := int(i)*stride, int(j)*stride
-				// Same association as the two-step accumulation of the
-				// seed body: (gain_i) + (gain_j).
+				// Same association as the two-step accumulation of
+				// seedBAH, the reference body in the tests:
+				// (gain_i) + (gain_j).
 				delta := (wt[rj+pi] - wt[ri+pi]) + (wt[ri+pj] - wt[rj+pj])
 				if delta >= 0 {
 					p[i], p[j] = p[j], p[i]
@@ -162,8 +163,8 @@ func (b BAH) Match(g *graph.Bipartite, t float64) []Pair {
 	} else if dense, dn2 := g.PairWeights().DenseMatrix(); dense != nil {
 		// A direct strided probe of the graph's cached dense matrix
 		// (built once per graph, shared by the whole sweep). The step's
-		// delta keeps the seed body's association, (gain_i) + (gain_j),
-		// with a missing partner's gain 0.
+		// delta keeps seedBAH's association, (gain_i) + (gain_j), with a
+		// missing partner's gain 0.
 		strideL, strideS := dn2, 1
 		if swapped {
 			strideL, strideS = 1, dn2
