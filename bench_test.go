@@ -327,6 +327,29 @@ func matchColdGraphs() []*graph.Bipartite {
 	return coldGraphs
 }
 
+// BenchmarkGenerateCold times the generation of match-cold's graphs, the
+// SB-SEM family of D2 at seed 1 and scale 0.5, on two workers with fresh
+// representation caches each iteration, as a booting node generates
+// them: the semantic rows kernel (cosine, Euclidean and relaxed WMS over
+// 538 x 538 pairs and two models) dominates it.
+func BenchmarkGenerateCold(b *testing.B) {
+	spec, err := datagen.SpecByID("D2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	task := spec.Generate(1, 0.5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simgraph.Generate(task, spec.KeyAttrs, simgraph.Options{
+			Families:          []simgraph.Family{simgraph.SBSem},
+			KeepNoMatchGraphs: true,
+			Parallelism:       2,
+			Caches:            simgraph.NewRepCaches(2),
+		})
+	}
+}
+
 // BenchmarkMatchersCold is the paper's QT(1) as loadbench's match-cold
 // workload serves it: one algorithm per sub-benchmark, the i-th call on
 // cold graph i mod 6 at the i-th point of match-cold's golden-ratio

@@ -6,8 +6,12 @@ package exp
 // numbers, which depend on the synthetic data and the host machine.
 
 import (
+	"math"
 	"testing"
+	"time"
 
+	"github.com/ccer-go/ccer/internal/core"
+	"github.com/ccer-go/ccer/internal/graph"
 	"github.com/ccer-go/ccer/internal/simgraph"
 )
 
@@ -166,27 +170,37 @@ func TestFidelityThresholdCorrelation(t *testing.T) {
 }
 
 // QT(1): BAH is by far the slowest algorithm; CNC is among the fastest.
+// The totals are re-timed here rather than read from the results: each
+// result's Runtime is one call timed inside the parallel sweep grid, so
+// a few descheduled calls could decide a sum. Each (graph, algorithm)
+// is timed serially at the result's best threshold as the minimum of
+// runtimeCalls calls of the corpus's own matcher. Descheduling only
+// adds time, so the minimum drops it, while a slower matcher is slower
+// in every call.
 func TestFidelityRuntimeShape(t *testing.T) {
 	c := sharedCorpus(t)
-	totals := make([]float64, len(c.Algorithms()))
+	matchers := c.Config.Matchers()
+	totals := make([]float64, len(matchers))
 	for _, gr := range c.Graphs {
 		for i, r := range gr.Results {
-			totals[i] += float64(r.Runtime)
+			if r.Algorithm != matchers[i].Name() {
+				t.Fatalf("result %d is %s, matcher %d is %s", i, r.Algorithm, i, matchers[i].Name())
+			}
+			totals[i] += float64(minRuntime(matchers[i], gr.Graph.G, r.BestT))
 		}
 	}
 	idx := map[string]int{}
 	for i, a := range c.Algorithms() {
 		idx[a] = i
 	}
-	// Timing at this scale is microsecond-level and noisy, so the
-	// assertions are ratio-based rather than strict orderings. Since the
-	// corpus-build fast path (cached draw streams and thresholded
-	// contribution matrices), BAH's toy-scale margin over the
-	// output-sensitive algorithms has narrowed — the paper's "slowest by
-	// far" re-emerges at paper scale, where the default caps (10,000
-	// steps, 2 minutes) bind — so BAH is required to stay the slowest,
-	// with the 2x margin asserted against the rest of the pack rather
-	// than the runner-up.
+	// Timing at this scale is microsecond-level, so the assertions are
+	// ratio-based rather than strict orderings. Since the corpus-build
+	// fast path (cached draw streams and thresholded contribution
+	// matrices), BAH's toy-scale margin over the output-sensitive
+	// algorithms has narrowed — the paper's "slowest by far" re-emerges
+	// at paper scale, where the default caps (10,000 steps, 2 minutes)
+	// bind — so BAH is required to stay the slowest, with the 2x margin
+	// asserted against the rest of the pack rather than the runner-up.
 	for a, i := range idx {
 		if a == "BAH" || a == "RSR" {
 			continue
@@ -204,4 +218,22 @@ func TestFidelityRuntimeShape(t *testing.T) {
 	if totals[idx["CNC"]] > 2*totals[idx["RSR"]] {
 		t.Errorf("CNC much slower than RSR; paper finds CNC faster")
 	}
+	for i, a := range c.Algorithms() {
+		t.Logf("%s total %v", a, time.Duration(totals[i]))
+	}
+}
+
+// runtimeCalls is how many serial calls minRuntime takes the minimum of.
+const runtimeCalls = 5
+
+// minRuntime is the shortest of runtimeCalls serial calls of m on g at
+// threshold thr.
+func minRuntime(m core.Matcher, g *graph.Bipartite, thr float64) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for k := 0; k < runtimeCalls; k++ {
+		start := time.Now()
+		m.Match(g, thr)
+		best = min(best, time.Since(start))
+	}
+	return best
 }

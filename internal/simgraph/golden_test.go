@@ -2,6 +2,7 @@ package simgraph
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/ccer-go/ccer/internal/dataset"
@@ -219,6 +220,41 @@ func slowSemanticGraphs(ds string, family Family, prefix string, model embed.Mod
 		out = slowAppend(out, ds, family, prefix+"/"+name, builders[k])
 	}
 	return out
+}
+
+// relaxedWMS mirrors embed.WordMoversSim over pre-computed token
+// vectors: the reference the row kernel's distance tables
+// (tokenMatrix.distances and wms) must equal bit for bit.
+func relaxedWMS(va [][]float64, wa []float64, vb [][]float64, wb []float64) float64 {
+	if len(va) == 0 || len(vb) == 0 {
+		return 0
+	}
+	d := directional(va, wa, vb)
+	if d2 := directional(vb, wb, va); d2 > d {
+		d = d2
+	}
+	return 1 / (1 + d)
+}
+
+func directional(from [][]float64, w []float64, to [][]float64) float64 {
+	total := 0.0
+	for i, v := range from {
+		best := -1.0
+		for _, u := range to {
+			s := 0.0
+			for k := range v {
+				dd := v[k] - u[k]
+				s += dd * dd
+			}
+			if best < 0 || s < best {
+				best = s
+			}
+		}
+		if best > 0 {
+			total += w[i] * math.Sqrt(best)
+		}
+	}
+	return total
 }
 
 // slowGenerate is the seed Generate: all four families, dense loops,

@@ -834,26 +834,23 @@ func semanticGraphs(ds string, family Family, prefix string, model embed.Model, 
 	endEmbed()
 
 	endRows := opts.Trace.StartSpanUnder(parent, "rows/"+prefix)
-	maxTok2 := 0
-	for _, vecs := range ev2.TV {
-		if len(vecs) > maxTok2 {
-			maxTok2 = len(vecs)
-		}
-	}
+	mat := newTokenMatrix(ev2.TV, model.Dim())
 	rows := make([][]rowEdge, n1)
 	rowBufs := make([][]rowEdge, workers)
+	tabs := make([][]float64, workers)
 	colBests := make([][]float64, workers)
 	ctr := newFamCounters(workers)
 	for w := range colBests {
-		colBests[w] = make([]float64, maxTok2)
+		colBests[w] = make([]float64, mat.maxTok)
 	}
 	par.For(n1, workers, nil, func(w, i int) {
 		if texts1[i] == "" {
 			return
 		}
 		row := rowBufs[w][:0]
-		colBest := colBests[w]
-		va, wa := ev1.TV[i], ev1.TW[i]
+		tab := mat.distances(ev1.TV[i], tabs[w])
+		tabs[w] = tab
+		wa := ev1.TW[i]
 		for j := 0; j < n2; j++ {
 			if texts2[j] == "" {
 				continue
@@ -867,7 +864,7 @@ func semanticGraphs(ds string, family Family, prefix string, model embed.Model, 
 			if euc > 0 {
 				row = append(row, rowEdge{1, int32(j), euc})
 			}
-			if sim := relaxedWMSFused(va, wa, ev2.TV[j], ev2.TW[j], colBest); sim > 0 {
+			if sim := mat.wms(tab, wa, j, ev2.TW[j], colBests[w]); sim > 0 {
 				row = append(row, rowEdge{2, int32(j), sim})
 			}
 		}
@@ -896,62 +893,117 @@ func semanticGraphs(ds string, family Family, prefix string, model embed.Model, 
 	return out
 }
 
-// relaxedWMS mirrors embed.WordMoversSim over pre-computed token vectors.
-func relaxedWMS(va [][]float64, wa []float64, vb [][]float64, wb []float64) float64 {
-	if len(va) == 0 || len(vb) == 0 {
-		return 0
-	}
-	d := directional(va, wa, vb)
-	if d2 := directional(vb, wb, va); d2 > d {
-		d = d2
-	}
-	return 1 / (1 + d)
+// tokenMatrix holds one collection's truncated token vectors as one
+// contiguous row-major matrix of dim columns, one row per token
+// occurrence: entity j's tokens are rows off[j] to off[j+1].
+type tokenMatrix struct {
+	dim, rows int
+	off       []int
+	data      []float64
+	maxTok    int
 }
 
-// relaxedWMSFused is relaxedWMS computing both directional transport
-// costs from ONE pass over the |va|×|vb| token distance matrix instead
-// of two: iterating (v, u) with u inner tracks each v's row minimum in
-// directional's exact comparison order, and updates each u's column
-// minimum at ascending v — also directional's scan order for the
-// reverse direction, whose distances (u[k]-v[k])² are the bit-exact
-// squares of the negated differences computed here. Halves the
-// quadratic inner work per pair with bit-identical results.
-//
-// colBest is caller scratch of at least len(vb) floats.
-func relaxedWMSFused(va [][]float64, wa []float64, vb [][]float64, wb []float64, colBest []float64) float64 {
-	if len(va) == 0 || len(vb) == 0 {
+func newTokenMatrix(tv [][][]float64, dim int) *tokenMatrix {
+	m := &tokenMatrix{dim: dim, off: make([]int, len(tv)+1)}
+	for j, vecs := range tv {
+		m.off[j+1] = m.off[j] + len(vecs)
+		m.maxTok = max(m.maxTok, len(vecs))
+	}
+	m.rows = m.off[len(tv)]
+	m.data = make([]float64, 0, m.rows*dim)
+	for _, vecs := range tv {
+		for _, v := range vecs {
+			m.data = append(m.data, v[:dim]...)
+		}
+	}
+	return m
+}
+
+// distances fills tab[t*rows+r] with the squared Euclidean distance from
+// va[t] to matrix row r, growing tab as needed, and returns it. Two left
+// tokens meet two rows at a time: four independent sums that overlap in
+// the pipeline, each accumulated as s += d*d in index order with d =
+// left - right, so every entry is bit-identical to the reference's sum
+// (relaxedWMS in the tests).
+func (m *tokenMatrix) distances(va [][]float64, tab []float64) []float64 {
+	dim, rows := m.dim, m.rows
+	n := len(va) * rows
+	if cap(tab) < n {
+		tab = make([]float64, n)
+	}
+	tab = tab[:n]
+	t := 0
+	for ; t+2 <= len(va); t += 2 {
+		a0, a1 := va[t][:dim], va[t+1][:dim]
+		out0, out1 := tab[t*rows:(t+1)*rows], tab[(t+1)*rows:(t+2)*rows]
+		r := 0
+		for ; r+2 <= rows; r += 2 {
+			b0 := m.data[r*dim : (r+1)*dim]
+			b1 := m.data[(r+1)*dim : (r+2)*dim]
+			var s00, s01, s10, s11 float64
+			for k, x0 := range a0 {
+				x1, y0, y1 := a1[k], b0[k], b1[k]
+				d00 := x0 - y0
+				s00 += d00 * d00
+				d01 := x0 - y1
+				s01 += d01 * d01
+				d10 := x1 - y0
+				s10 += d10 * d10
+				d11 := x1 - y1
+				s11 += d11 * d11
+			}
+			out0[r], out0[r+1], out1[r], out1[r+1] = s00, s01, s10, s11
+		}
+		if r < rows {
+			b := m.data[r*dim : (r+1)*dim]
+			out0[r], out1[r] = sqDist(a0, b), sqDist(a1, b)
+		}
+	}
+	if t < len(va) {
+		a := va[t][:dim]
+		out := tab[t*rows : (t+1)*rows]
+		for r := range out {
+			out[r] = sqDist(a, m.data[r*dim:(r+1)*dim])
+		}
+	}
+	return tab
+}
+
+// sqDist is the single-chain form of distances' sums, for the odd token
+// and the odd row.
+func sqDist(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for k, x := range a {
+		d := x - b[k]
+		s += d * d
+	}
+	return s
+}
+
+// wms returns the relaxed Word Mover's similarity (embed.WordMoversSim
+// over truncated token vectors) of the left entity whose distances
+// filled tab and the right entity j, whose token weights are wb. It
+// reads the table in the reference's order: each left token's minimum
+// over j's rows, each of j's rows' minimum at ascending left token
+// (directional's scan order for the reverse direction, whose squared
+// differences are bit-identical), then the two weighted sums in token
+// order, so the value is bit-identical. colBest is caller scratch of at
+// least m.maxTok floats.
+func (m *tokenMatrix) wms(tab, wa []float64, j int, wb, colBest []float64) float64 {
+	lo, hi := m.off[j], m.off[j+1]
+	if len(wa) == 0 || lo == hi {
 		return 0
 	}
-	colBest = colBest[:len(vb)]
+	rows := m.rows
+	colBest = colBest[:hi-lo]
 	for t := range colBest {
 		colBest[t] = -1
 	}
 	d1 := 0.0
-	for ti, v := range va {
+	for ti, w := range wa {
 		rowBest := -1.0
-		for tj, u := range vb {
-			// Reslicing u to v's length lets the compiler drop the
-			// bounds check in the dimension loop (both vectors come from
-			// the same model, so the lengths are equal), and the 4-way
-			// unroll keeps the adds in index order, so the sum is
-			// bit-identical to the plain loop.
-			u = u[:len(v)]
-			s := 0.0
-			k := 0
-			for ; k+4 <= len(v); k += 4 {
-				d0 := v[k] - u[k]
-				s += d0 * d0
-				d1 := v[k+1] - u[k+1]
-				s += d1 * d1
-				d2 := v[k+2] - u[k+2]
-				s += d2 * d2
-				d3 := v[k+3] - u[k+3]
-				s += d3 * d3
-			}
-			for ; k < len(v); k++ {
-				dd := v[k] - u[k]
-				s += dd * dd
-			}
+		for tj, s := range tab[ti*rows+lo : ti*rows+hi] {
 			if rowBest < 0 || s < rowBest {
 				rowBest = s
 			}
@@ -960,12 +1012,12 @@ func relaxedWMSFused(va [][]float64, wa []float64, vb [][]float64, wb []float64,
 			}
 		}
 		if rowBest > 0 {
-			d1 += wa[ti] * math.Sqrt(rowBest)
+			d1 += w * math.Sqrt(rowBest)
 		}
 	}
 	d2 := 0.0
-	for tj := range colBest {
-		if cb := colBest[tj]; cb > 0 {
+	for tj, cb := range colBest {
+		if cb > 0 {
 			d2 += wb[tj] * math.Sqrt(cb)
 		}
 	}
@@ -973,27 +1025,6 @@ func relaxedWMSFused(va [][]float64, wa []float64, vb [][]float64, wb []float64,
 		d1 = d2
 	}
 	return 1 / (1 + d1)
-}
-
-func directional(from [][]float64, w []float64, to [][]float64) float64 {
-	total := 0.0
-	for i, v := range from {
-		best := -1.0
-		for _, u := range to {
-			s := 0.0
-			for k := range v {
-				dd := v[k] - u[k]
-				s += dd * dd
-			}
-			if best < 0 || s < best {
-				best = s
-			}
-		}
-		if best > 0 {
-			total += w[i] * math.Sqrt(best)
-		}
-	}
-	return total
 }
 
 func appendGraph(out []SimGraph, ds string, family Family, name string, b *graph.Builder) []SimGraph {
