@@ -12,9 +12,10 @@ import "github.com/ccer-go/ccer/internal/graph"
 // lists are sorted by descending weight, so that is a test on the first
 // two weights of u's list and of v's, and the closure itself is never
 // built. One pass over V1 emits the pairs already (U,V)-sorted: a call
-// costs O(n1 + n2) over the graph's cached adjacency (graph.AdjList1,
-// built once per graph), whatever the edge count, which keeps CNC among
-// the fastest of the eight algorithms, as the paper reports.
+// costs O(n1 + n2) over the graph's cached adjacency (graph.Adjacency,
+// built once per graph and fetched once per call), whatever the edge
+// count, which keeps CNC among the fastest of the eight algorithms, as
+// the paper reports.
 type CNC struct{}
 
 // Name implements Matcher.
@@ -22,14 +23,15 @@ func (CNC) Name() string { return "CNC" }
 
 // Match implements Matcher.
 func (CNC) Match(g *graph.Bipartite, t float64) []Pair {
+	a1, a2 := g.Adjacency()
 	var pairs []Pair
 	for u := int32(0); u < int32(g.N1()); u++ {
-		opp, ws := g.AdjList1(u)
-		if !onlyOneAbove(ws, t) {
+		lo, hi := a1.Off[u], a1.Off[u+1]
+		if !onlyOneAbove(a1.W[lo:hi], t) {
 			continue
 		}
-		if _, wv := g.AdjList2(opp[0]); onlyOneAbove(wv, t) {
-			pairs = append(pairs, Pair{U: u, V: opp[0], W: ws[0]})
+		if v := a1.Opp[lo]; onlyOneAbove(a2.W[a2.Off[v]:a2.Off[v+1]], t) {
+			pairs = append(pairs, Pair{U: u, V: v, W: a1.W[lo]})
 		}
 	}
 	return pairs
