@@ -413,26 +413,30 @@ func quantizedGraph(seed int64, n1, n2, m, levels int) *graph.Bipartite {
 	return b.MustBuild()
 }
 
+// quantizedCases are the quantizedGraph shapes that
+// TestMatchersMatchSeedImplementations and TestMatchersTiesPin draw at
+// seeds 1-6.
+var quantizedCases = []struct {
+	name                  string
+	n1, n2, edges, levels int
+}{
+	{"empty", 0, 0, 0, 1},
+	{"empty-V1", 0, 7, 0, 1},
+	{"empty-V2", 7, 0, 0, 1},
+	{"no-edges", 5, 9, 0, 1},
+	{"one-level", 12, 10, 40, 1},
+	{"isolated-nodes", 60, 80, 25, 3},
+	{"sparse", 30, 25, 45, 4},
+	{"ties", 20, 20, 150, 3},
+	{"wide", 8, 40, 90, 5},
+	{"tall", 40, 8, 90, 5},
+	// Sides above 512 take the heap branch of scratch.
+	{"heap-scratch", 600, 700, 4000, 16},
+	{"heap-scratch-V2", 300, 900, 3000, 8},
+}
+
 func TestMatchersMatchSeedImplementations(t *testing.T) {
-	cases := []struct {
-		name                  string
-		n1, n2, edges, levels int
-	}{
-		{"empty", 0, 0, 0, 1},
-		{"empty-V1", 0, 7, 0, 1},
-		{"empty-V2", 7, 0, 0, 1},
-		{"no-edges", 5, 9, 0, 1},
-		{"one-level", 12, 10, 40, 1},
-		{"isolated-nodes", 60, 80, 25, 3},
-		{"sparse", 30, 25, 45, 4},
-		{"ties", 20, 20, 150, 3},
-		{"wide", 8, 40, 90, 5},
-		{"tall", 40, 8, 90, 5},
-		// Sides above 512 take the heap branch of scratch.
-		{"heap-scratch", 600, 700, 4000, 16},
-		{"heap-scratch-V2", 300, 900, 3000, 8},
-	}
-	for _, tc := range cases {
+	for _, tc := range quantizedCases {
 		for seed := int64(1); seed <= 6; seed++ {
 			g := quantizedGraph(seed, tc.n1, tc.n2, tc.edges, tc.levels)
 			checkAgainstSeed(t, tc.name, g)
