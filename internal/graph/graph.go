@@ -43,8 +43,11 @@ type Builder struct {
 // and n2 nodes on the V2 side.
 func NewBuilder(n1, n2 int) *Builder {
 	b := &Builder{n1: n1, n2: n2}
-	if n1 < 0 || n2 < 0 {
+	switch {
+	case n1 < 0 || n2 < 0:
 		b.err = fmt.Errorf("graph: negative side size (%d, %d)", n1, n2)
+	case n1 > math.MaxInt32 || n2 > math.MaxInt32:
+		b.err = fmt.Errorf("graph: side size (%d, %d) beyond the NodeID range", n1, n2)
 	}
 	return b
 }

@@ -72,6 +72,14 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := NewBuilder(-1, 2).Build(); err == nil {
 		t.Fatal("negative side accepted")
 	}
+	// A side beyond the NodeID range once passed Build and crashed the
+	// index build. (On a 32-bit int the increment wraps negative, which
+	// is rejected too.)
+	big := math.MaxInt32
+	big++
+	if _, err := NewBuilder(1, big).Build(); err == nil {
+		t.Fatal("side beyond the NodeID range accepted")
+	}
 }
 
 func TestBuilderErrorSticky(t *testing.T) {
