@@ -20,7 +20,7 @@ func seedBAH(g *graph.Bipartite, t float64, seed int64, maxSteps int) []Pair {
 	if nLarge == 0 || nSmall == 0 {
 		return nil
 	}
-	lookup := g.WeightLookup()
+	lookup := g.Weight
 	d := func(large, small graph.NodeID) float64 {
 		var w float64
 		var ok bool

@@ -34,14 +34,15 @@ func (BMC) Name() string { return "BMC" }
 
 // Match implements Matcher.
 func (b BMC) Match(g *graph.Bipartite, t float64) []Pair {
+	a1, a2 := g.Adjacency()
 	switch b.Basis {
 	case BasisV1:
-		return bmcFrom(g, t, true)
+		return bmcFrom(a1, g.N2(), t, false)
 	case BasisV2:
-		return bmcFrom(g, t, false)
+		return bmcFrom(a2, g.N1(), t, true)
 	default:
-		p1 := bmcFrom(g, t, true)
-		p2 := bmcFrom(g, t, false)
+		p1 := bmcFrom(a1, g.N2(), t, false)
+		p2 := bmcFrom(a2, g.N1(), t, true)
 		if TotalWeight(p2) > TotalWeight(p1) {
 			return p2
 		}
@@ -49,46 +50,38 @@ func (b BMC) Match(g *graph.Bipartite, t float64) []Pair {
 	}
 }
 
-// bmcFrom runs the scan with V1 as basis when fromV1 is true, otherwise
-// with V2 as basis.
-func bmcFrom(g *graph.Bipartite, t float64, fromV1 bool) []Pair {
+// bmcFrom runs the scan over the basis side's adjacency a, claiming
+// nodes of the other side, which has nOther of them. fromV2 reports that
+// the basis is V2, so each pair's ends swap back into (V1, V2) order.
+func bmcFrom(a graph.Adjacency, nOther int, t float64, fromV2 bool) []Pair {
 	var pairs []Pair
 	var mbuf [512]bool
-	if fromV1 {
-		matched2 := scratch(mbuf[:], g.N2())
-		for u := graph.NodeID(0); int(u) < g.N1(); u++ {
-			opp, ws := g.AdjList1(u) // descending weight
-			for k, w := range ws {
-				if !(w > t) {
-					break
-				}
-				v := opp[k]
-				if matched2[v] {
-					continue
-				}
-				matched2[v] = true
-				pairs = append(pairs, Pair{U: u, V: v, W: w})
+	matched := scratch(mbuf[:], nOther)
+	for x := int32(0); x < int32(len(a.Off)-1); x++ {
+		lo, hi := a.Off[x], a.Off[x+1]
+		opp := a.Opp[lo:hi]
+		for k, w := range a.W[lo:hi] { // descending weight
+			if !(w > t) {
 				break
 			}
-		}
-	} else {
-		matched1 := scratch(mbuf[:], g.N1())
-		for v := graph.NodeID(0); int(v) < g.N2(); v++ {
-			opp, ws := g.AdjList2(v)
-			for k, w := range ws {
-				if !(w > t) {
-					break
-				}
-				u := opp[k]
-				if matched1[u] {
-					continue
-				}
-				matched1[u] = true
-				pairs = append(pairs, Pair{U: u, V: v, W: w})
-				break
+			y := opp[k]
+			if matched[y] {
+				continue
 			}
+			matched[y] = true
+			pairs = append(pairs, orient(x, y, w, fromV2))
+			break
 		}
 	}
 	SortPairs(pairs)
 	return pairs
+}
+
+// orient returns the pair of basis node x and other-side node y with
+// weight w, its ends swapped when the basis is V2.
+func orient(x, y int32, w float64, fromV2 bool) Pair {
+	if fromV2 {
+		return Pair{U: y, V: x, W: w}
+	}
+	return Pair{U: x, V: y, W: w}
 }

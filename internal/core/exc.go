@@ -20,26 +20,26 @@ func (EXC) Name() string { return "EXC" }
 
 // Match implements Matcher.
 func (EXC) Match(g *graph.Bipartite, t float64) []Pair {
+	a1, a2 := g.Adjacency()
 	// best2[v] is the best partner of v in V2, or -1.
 	var bbuf [512]graph.NodeID
 	best2 := scratch(bbuf[:], g.N2())
 	for v := range best2 {
 		best2[v] = -1
-		opp, ws := g.AdjList2(graph.NodeID(v))
-		if len(ws) > 0 && ws[0] > t {
-			best2[v] = opp[0]
+		if k := a2.Off[v]; k < a2.Off[v+1] && a2.W[k] > t {
+			best2[v] = a2.Opp[k]
 		}
 	}
+	// One pass over V1 emits the pairs already (U,V)-sorted.
 	var pairs []Pair
-	for u := graph.NodeID(0); int(u) < g.N1(); u++ {
-		opp, ws := g.AdjList1(u)
-		if len(ws) == 0 || !(ws[0] > t) {
+	for u := int32(0); u < int32(g.N1()); u++ {
+		k := a1.Off[u]
+		if k == a1.Off[u+1] || !(a1.W[k] > t) {
 			continue
 		}
-		if v := opp[0]; best2[v] == u { // u's best edge
-			pairs = append(pairs, Pair{U: u, V: v, W: ws[0]})
+		if v := a1.Opp[k]; best2[v] == u { // u's best edge
+			pairs = append(pairs, Pair{U: u, V: v, W: a1.W[k]})
 		}
 	}
-	SortPairs(pairs)
 	return pairs
 }

@@ -1,6 +1,10 @@
 package core
 
-import "github.com/ccer-go/ccer/internal/graph"
+import (
+	"slices"
+
+	"github.com/ccer-go/ccer/internal/graph"
+)
 
 // HopcroftKarp computes a maximum cardinality matching of the edges above
 // the threshold in O(m√n), ignoring weights. It is not one of the paper's
@@ -20,17 +24,17 @@ func (HopcroftKarp) Match(g *graph.Bipartite, t float64) []Pair {
 		return nil
 	}
 
-	// Filtered adjacency: above-threshold neighbors per V1 node, taken
-	// from the weight-sorted prefix of each adjacency list.
+	// Filtered adjacency: above-threshold neighbors per V1 node, the
+	// weight-sorted prefix of each V1 list.
+	a1, _ := g.Adjacency()
 	adj := make([][]int32, n1)
-	for u := 0; u < n1; u++ {
-		for _, ei := range g.Adj1(graph.NodeID(u)) {
-			e := g.Edge(ei)
-			if !(e.W > t) {
-				break
-			}
-			adj[u] = append(adj[u], e.V)
+	for u := range adj {
+		lo, hi := a1.Off[u], a1.Off[u+1]
+		k := lo
+		for k < hi && a1.W[k] > t {
+			k++
 		}
+		adj[u] = a1.Opp[lo:k]
 	}
 
 	const inf = int32(1) << 30
@@ -96,11 +100,9 @@ func (HopcroftKarp) Match(g *graph.Bipartite, t float64) []Pair {
 	var pairs []Pair
 	for u := int32(0); int(u) < n1; u++ {
 		if v := matchU[u]; v >= 0 {
-			if w, ok := g.Weight(u, v); ok {
-				pairs = append(pairs, Pair{U: u, V: v, W: w})
-			}
+			k := a1.Off[u] + int32(slices.Index(adj[u], v))
+			pairs = append(pairs, Pair{U: u, V: v, W: a1.W[k]})
 		}
 	}
-	SortPairs(pairs)
 	return pairs
 }

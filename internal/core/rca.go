@@ -22,8 +22,9 @@ func (RCA) Name() string { return "RCA" }
 
 // Match implements Matcher.
 func (RCA) Match(g *graph.Bipartite, t float64) []Pair {
-	p1, d1 := rcaPass(g, true)
-	p2, d2 := rcaPass(g, false)
+	a1, a2 := g.Adjacency()
+	p1, d1 := rcaPass(a1, g.N2(), false)
+	p2, d2 := rcaPass(a2, g.N1(), true)
 	best := p1
 	if d2 > d1 {
 		best = p2
@@ -38,42 +39,27 @@ func (RCA) Match(g *graph.Bipartite, t float64) []Pair {
 	return pairs
 }
 
-// rcaPass performs one greedy scan. When fromV1 is true every V1 node
-// claims its most similar unmatched V2 node; otherwise the roles are
-// swapped. It returns the assignment and its total weight.
-func rcaPass(g *graph.Bipartite, fromV1 bool) ([]Pair, float64) {
+// rcaPass performs one greedy scan over the basis side's adjacency a:
+// every basis node claims its most similar unmatched node of the other
+// side, which has nOther of them. fromV2 reports that the basis is V2.
+// It returns the assignment and its total weight.
+func rcaPass(a graph.Adjacency, nOther int, fromV2 bool) ([]Pair, float64) {
 	var pairs []Pair
 	total := 0.0
 	var mbuf [512]bool
-	if fromV1 {
-		matched2 := scratch(mbuf[:], g.N2())
-		for u := graph.NodeID(0); int(u) < g.N1(); u++ {
-			opp, ws := g.AdjList1(u)
-			for k, w := range ws {
-				v := opp[k]
-				if matched2[v] {
-					continue
-				}
-				matched2[v] = true
-				pairs = append(pairs, Pair{U: u, V: v, W: w})
-				total += w
-				break
+	matched := scratch(mbuf[:], nOther)
+	for x := int32(0); x < int32(len(a.Off)-1); x++ {
+		lo, hi := a.Off[x], a.Off[x+1]
+		opp := a.Opp[lo:hi]
+		for k, w := range a.W[lo:hi] {
+			y := opp[k]
+			if matched[y] {
+				continue
 			}
-		}
-	} else {
-		matched1 := scratch(mbuf[:], g.N1())
-		for v := graph.NodeID(0); int(v) < g.N2(); v++ {
-			opp, ws := g.AdjList2(v)
-			for k, w := range ws {
-				u := opp[k]
-				if matched1[u] {
-					continue
-				}
-				matched1[u] = true
-				pairs = append(pairs, Pair{U: u, V: v, W: w})
-				total += w
-				break
-			}
+			matched[y] = true
+			pairs = append(pairs, orient(x, y, w, fromV2))
+			total += w
+			break
 		}
 	}
 	return pairs, total

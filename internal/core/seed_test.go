@@ -16,6 +16,7 @@ import (
 // must reproduce it pair for pair.
 func seedKRC(g *graph.Bipartite, t float64) []Pair {
 	n1, n2 := g.N1(), g.N2()
+	a1, _ := g.Adjacency()
 
 	var (
 		ptrBuf  [512]int32
@@ -45,7 +46,7 @@ func seedKRC(g *graph.Bipartite, t float64) []Pair {
 	// prefs returns man u's preference list: the prefix of his adjacency
 	// with weight above t (adjacency is already descending by weight).
 	prefs := func(u int32) ([]int32, []float64) {
-		opp, ws := g.AdjList1(u)
+		opp, ws := adjList(a1, u)
 		for i, w := range ws {
 			if w <= t {
 				return opp[:i], ws[:i]
@@ -100,6 +101,12 @@ func seedKRC(g *graph.Bipartite, t float64) []Pair {
 	}
 	SortPairs(pairs)
 	return pairs
+}
+
+// adjList returns node x's neighbors and weights on side a, in
+// descending weight order: the per-node lists the seed bodies read.
+func adjList(a graph.Adjacency, x int32) ([]int32, []float64) {
+	return a.Opp[a.Off[x]:a.Off[x+1]], a.W[a.Off[x]:a.Off[x+1]]
 }
 
 // seedCNC is the previous CNC.Match, kept verbatim as a reference:
@@ -183,6 +190,7 @@ func seedUMC(g *graph.Bipartite, t float64) []Pair {
 func seedRSR(g *graph.Bipartite, t float64) []Pair {
 	n1, n2 := g.N1(), g.N2()
 	n := n1 + n2
+	a1, a2 := g.Adjacency()
 
 	var (
 		icBuf [512]bool
@@ -223,12 +231,12 @@ func seedRSR(g *graph.Bipartite, t float64) []Pair {
 	order, avg := scratch(orBuf[:], n), scratch(avBuf[:], n)
 	for i := 0; i < n1; i++ {
 		order[i] = int32(i)
-		_, ws := g.AdjList1(graph.NodeID(i))
+		_, ws := adjList(a1, int32(i))
 		avg[i] = avgAbove(ws)
 	}
 	for j := 0; j < n2; j++ {
 		order[n1+j] = int32(n1 + j)
-		_, ws := g.AdjList2(graph.NodeID(j))
+		_, ws := adjList(a2, int32(j))
 		avg[n1+j] = avgAbove(ws)
 	}
 	// The id tie-break makes this a total order, so an unstable sort
@@ -248,10 +256,10 @@ func seedRSR(g *graph.Bipartite, t float64) []Pair {
 	// offset) and weights in descending weight order.
 	adjOf := func(x int32) (opp []int32, ws []float64, oppBase int32) {
 		if int(x) < n1 {
-			opp, ws = g.AdjList1(x)
+			opp, ws = adjList(a1, x)
 			return opp, ws, int32(n1)
 		}
-		opp, ws = g.AdjList2(x - int32(n1))
+		opp, ws = adjList(a2, x-int32(n1))
 		return opp, ws, 0
 	}
 

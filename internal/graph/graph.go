@@ -13,12 +13,10 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a node within one side of a bipartite graph.
@@ -114,20 +112,24 @@ func (b *Builder) MustBuild() *Bipartite {
 }
 
 // BuildNormalized is Build followed by NormalizeMinMax, fused: the
-// min-max rescale is applied to the deduplicated edge list BEFORE the
-// graph is assembled, so the CSR adjacency and the by-weight permutation
-// are computed once instead of built, verified and rebuilt. The result
-// is bit-identical to Build().NormalizeMinMax(): the rescale maps each
-// weight through the same expression, and the by-weight comparator
-// (W descending, U, V ascending) is total, so whichever route computes
-// the permutation arrives at the same order. Like Build, it takes
-// ownership of the accumulated edges; the builder must not be reused.
+// min-max rescale is applied in place to the deduplicated edge list
+// before the graph is assembled, so the edges are not copied a second
+// time. The result is bit-identical to Build().NormalizeMinMax(): both
+// routes rescale through rescaleMinMax. Like Build, it takes ownership
+// of the accumulated edges; the builder must not be reused.
 func (b *Builder) BuildNormalized() (*Bipartite, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	edges := dedupeMax(b.edges, b.n1)
-	minW, maxW := math.Inf(1), math.Inf(-1)
+	rescaleMinMax(edges)
+	return newBipartite(b.n1, b.n2, edges), nil
+}
+
+// weightRange returns the smallest and largest weight of a non-empty
+// edge list.
+func weightRange(edges []Edge) (minW, maxW float64) {
+	minW, maxW = math.Inf(1), math.Inf(-1)
 	for _, e := range edges {
 		if e.W < minW {
 			minW = e.W
@@ -136,6 +138,13 @@ func (b *Builder) BuildNormalized() (*Bipartite, error) {
 			maxW = e.W
 		}
 	}
+	return minW, maxW
+}
+
+// rescaleMinMax maps the weights onto [0,1] in place by min-max
+// normalization; if all weights are equal, they all become 1.
+func rescaleMinMax(edges []Edge) {
+	minW, maxW := weightRange(edges)
 	span := maxW - minW
 	for i := range edges {
 		w := 1.0
@@ -144,7 +153,6 @@ func (b *Builder) BuildNormalized() (*Bipartite, error) {
 		}
 		edges[i].W = w
 	}
-	return newBipartite(b.n1, b.n2, edges), nil
 }
 
 func dedupeMax(edges []Edge, n1 int) []Edge {
@@ -233,84 +241,49 @@ func transposeVMajor(es []Edge, n1 int) ([]Edge, bool) {
 
 // Bipartite is an immutable weighted bipartite similarity graph.
 type Bipartite struct {
-	n1, n2 int
-	edges  []Edge
+	n1, n2     int
+	edges      []Edge
+	minW, maxW float64
 
-	// The matching indexes — the by-weight permutation and the CSR
-	// adjacency — are built lazily on first use (indexOnce): similarity-
+	// The matching index, the by-weight permutation and each side's
+	// Adjacency, is built lazily on first use (indexOnce): similarity-
 	// graph generation produces hundreds of graphs whose only consumers
 	// may be checksumming, serialization or the cleaning filter, none of
-	// which need them, while the matchers that do pay the build exactly
-	// once per (immutable) graph. indexBuilt flips after the arrays are
-	// fully written, so lock-free observers (indexed) never see a
-	// half-visible index.
+	// which need it, while the matchers that do pay the build exactly
+	// once per (immutable) graph.
 	indexOnce  sync.Once
-	indexBuilt atomic.Bool
-
-	// CSR adjacency. adj1[off1[u]:off1[u+1]] are indices into edges for
-	// node u of V1, sorted by descending weight (ties broken by opposite
-	// node id, ascending, for determinism). Same for the V2 side.
-	off1, off2 []int32
-	adj1, adj2 []int32
-
-	// byWeight is the edge index permutation in descending weight order.
-	byWeight []int32
-
-	minW, maxW float64
+	byWeight   []int32 // edge indices in descending weight order
+	adj1, adj2 Adjacency
 
 	// pair is the lazily built constant-time (u,v) -> weight index,
 	// shared by every Match call on this graph (graphs are immutable, so
 	// it is built at most once).
 	pairOnce sync.Once
 	pair     *PairLookup
+}
 
-	// Adjacency-ordered weight / opposite-node arrays (aligned with
-	// adj1/adj2), lazily built once and shared by the matchers' repeated
-	// threshold-prefix scans: a 20-point sweep walks each adjacency list
-	// dozens of times, and the contiguous layout replaces a random edge
-	// lookup per visit.
-	adjCacheOnce     sync.Once
-	adjW1, adjW2     []float64
-	adjOpp1, adjOpp2 []int32
+// Adjacency is one side's adjacency as flat CSR arrays: node x's
+// neighbors are Opp[Off[x]:Off[x+1]], with weights W[Off[x]:Off[x+1]]
+// in descending order (ties by ascending neighbor id). Callers must not
+// modify it.
+type Adjacency struct {
+	Off []int32
+	Opp []int32
+	W   []float64
 }
 
 func newBipartite(n1, n2 int, edges []Edge) *Bipartite {
 	g := &Bipartite{n1: n1, n2: n2, edges: edges}
-	g.minW, g.maxW = math.Inf(1), math.Inf(-1)
-	for _, e := range edges {
-		if e.W < g.minW {
-			g.minW = e.W
-		}
-		if e.W > g.maxW {
-			g.maxW = e.W
-		}
-	}
-	if len(edges) == 0 {
-		g.minW, g.maxW = 0, 0
+	if len(edges) > 0 {
+		g.minW, g.maxW = weightRange(edges)
 	}
 	return g
 }
 
-// ensureIndex materializes the by-weight permutation and the CSR
-// adjacency, at most once per graph.
-func (g *Bipartite) ensureIndex() {
-	g.indexOnce.Do(g.buildIndex)
-}
-
-// setIndex installs prebuilt index arrays (the NormalizeMinMax reuse
-// path), consuming the once so they are never rebuilt.
-func (g *Bipartite) setIndex(off1, off2, adj1, adj2, byWeight []int32) {
-	g.indexOnce.Do(func() {
-		g.off1, g.off2 = off1, off2
-		g.adj1, g.adj2 = adj1, adj2
-		g.byWeight = byWeight
-		g.indexBuilt.Store(true)
-	})
-}
-
+// buildIndex materializes the by-weight permutation and both sides'
+// Adjacency; indexOnce runs it at most once per graph.
 func (g *Bipartite) buildIndex() {
 	edges := g.edges
-	n1, n2 := g.n1, g.n2
 	g.byWeight = make([]int32, len(edges))
 	for i := range g.byWeight {
 		g.byWeight[i] = int32(i)
@@ -340,32 +313,39 @@ func (g *Bipartite) buildIndex() {
 		})
 	}
 
-	g.off1 = make([]int32, n1+1)
-	g.off2 = make([]int32, n2+1)
+	a1, a2 := newAdjacency(g.n1, len(edges)), newAdjacency(g.n2, len(edges))
 	for _, e := range edges {
-		g.off1[e.U+1]++
-		g.off2[e.V+1]++
+		a1.Off[e.U+1]++
+		a2.Off[e.V+1]++
 	}
-	for i := 0; i < n1; i++ {
-		g.off1[i+1] += g.off1[i]
+	for i := 0; i < g.n1; i++ {
+		a1.Off[i+1] += a1.Off[i]
 	}
-	for i := 0; i < n2; i++ {
-		g.off2[i+1] += g.off2[i]
+	for i := 0; i < g.n2; i++ {
+		a2.Off[i+1] += a2.Off[i]
 	}
-	g.adj1 = make([]int32, len(edges))
-	g.adj2 = make([]int32, len(edges))
-	next1 := append([]int32(nil), g.off1[:n1]...)
-	next2 := append([]int32(nil), g.off2[:n2]...)
-	// Appending in global descending-weight order keeps every per-node
-	// adjacency list sorted by descending weight.
+	next1 := append([]int32(nil), a1.Off[:g.n1]...)
+	next2 := append([]int32(nil), a2.Off[:g.n2]...)
+	// Appending in global by-weight order keeps every list in
+	// (W descending, neighbor ascending) order.
 	for _, ei := range g.byWeight {
 		e := edges[ei]
-		g.adj1[next1[e.U]] = ei
+		k := next1[e.U]
+		a1.Opp[k], a1.W[k] = e.V, e.W
 		next1[e.U]++
-		g.adj2[next2[e.V]] = ei
+		k = next2[e.V]
+		a2.Opp[k], a2.W[k] = e.U, e.W
 		next2[e.V]++
 	}
-	g.indexBuilt.Store(true)
+	g.adj1, g.adj2 = a1, a2
+}
+
+func newAdjacency(nodes, edges int) Adjacency {
+	return Adjacency{
+		Off: make([]int32, nodes+1),
+		Opp: make([]int32, edges),
+		W:   make([]float64, edges),
+	}
 }
 
 // radixMinEdges is the edge count above which the by-weight permutation
@@ -454,91 +434,20 @@ func (g *Bipartite) Edge(i int32) Edge { return g.edges[i] }
 // Edges returns the underlying edge slice. Callers must not modify it.
 func (g *Bipartite) Edges() []Edge { return g.edges }
 
-// EdgesByWeight returns edge indices in descending weight order,
-// building the index on first use. Callers must not modify the
-// returned slice.
+// EdgesByWeight returns edge indices in descending weight order (ties
+// by ascending U, then V), building the matching index on first use.
+// Callers must not modify the returned slice.
 func (g *Bipartite) EdgesByWeight() []int32 {
-	g.ensureIndex()
+	g.indexOnce.Do(g.buildIndex)
 	return g.byWeight
 }
 
-// buildAdjCache materializes the adjacency-ordered weight and
-// opposite-node arrays.
-func (g *Bipartite) buildAdjCache() {
-	g.ensureIndex()
-	g.adjCacheOnce.Do(func() {
-		g.adjW1 = make([]float64, len(g.adj1))
-		g.adjOpp1 = make([]int32, len(g.adj1))
-		for k, ei := range g.adj1 {
-			g.adjW1[k] = g.edges[ei].W
-			g.adjOpp1[k] = g.edges[ei].V
-		}
-		g.adjW2 = make([]float64, len(g.adj2))
-		g.adjOpp2 = make([]int32, len(g.adj2))
-		for k, ei := range g.adj2 {
-			g.adjW2[k] = g.edges[ei].W
-			g.adjOpp2[k] = g.edges[ei].U
-		}
-	})
-}
-
-// AdjList1 returns node u of V1's neighbors and edge weights in
-// descending weight order (the Adj1 ordering), as two aligned
-// contiguous slices. Built once per graph; callers must not modify
-// them.
-func (g *Bipartite) AdjList1(u NodeID) (opp []int32, ws []float64) {
-	g.buildAdjCache()
-	return g.adjOpp1[g.off1[u]:g.off1[u+1]], g.adjW1[g.off1[u]:g.off1[u+1]]
-}
-
-// AdjList2 is AdjList1 for the V2 side.
-func (g *Bipartite) AdjList2(v NodeID) (opp []int32, ws []float64) {
-	g.buildAdjCache()
-	return g.adjOpp2[g.off2[v]:g.off2[v+1]], g.adjW2[g.off2[v]:g.off2[v+1]]
-}
-
-// Adjacency is one side's cached adjacency as flat CSR arrays, the
-// ones AdjList1 and AdjList2 slice: node x's neighbors are
-// Opp[Off[x]:Off[x+1]], with weights W[Off[x]:Off[x+1]] in descending
-// order (ties by ascending neighbor id). Callers must not modify it.
-type Adjacency struct {
-	Off []int32
-	Opp []int32
-	W   []float64
-}
-
-// Adjacency returns the V1 and V2 sides' cached adjacency, built once
-// per graph. A matcher that visits many nodes fetches it once per call
-// instead of paying AdjList1's build checks per node.
+// Adjacency returns the V1 and V2 sides' adjacency, building the
+// matching index on first use. A matcher fetches it once per call and
+// indexes the flat arrays per node.
 func (g *Bipartite) Adjacency() (v1, v2 Adjacency) {
-	g.buildAdjCache()
-	return Adjacency{g.off1, g.adjOpp1, g.adjW1}, Adjacency{g.off2, g.adjOpp2, g.adjW2}
-}
-
-// Adj1 returns the edge indices incident to node u of V1 in descending
-// weight order. Callers must not modify the returned slice.
-func (g *Bipartite) Adj1(u NodeID) []int32 {
-	g.ensureIndex()
-	return g.adj1[g.off1[u]:g.off1[u+1]]
-}
-
-// Adj2 returns the edge indices incident to node v of V2 in descending
-// weight order. Callers must not modify the returned slice.
-func (g *Bipartite) Adj2(v NodeID) []int32 {
-	g.ensureIndex()
-	return g.adj2[g.off2[v]:g.off2[v+1]]
-}
-
-// Degree1 returns the degree of node u of V1.
-func (g *Bipartite) Degree1(u NodeID) int {
-	g.ensureIndex()
-	return int(g.off1[u+1] - g.off1[u])
-}
-
-// Degree2 returns the degree of node v of V2.
-func (g *Bipartite) Degree2(v NodeID) int {
-	g.ensureIndex()
-	return int(g.off2[v+1] - g.off2[v])
+	g.indexOnce.Do(g.buildIndex)
+	return g.adj1, g.adj2
 }
 
 // MinWeight returns the smallest edge weight (0 for an empty graph).
@@ -550,55 +459,36 @@ func (g *Bipartite) MaxWeight() float64 { return g.maxW }
 // Weight returns the weight of edge (u,v) and whether it exists.
 // It scans the shorter of the two adjacency lists.
 func (g *Bipartite) Weight(u, v NodeID) (float64, bool) {
-	if g.Degree1(u) <= g.Degree2(v) {
-		for _, ei := range g.Adj1(u) {
-			if g.edges[ei].V == v {
-				return g.edges[ei].W, true
-			}
-		}
-		return 0, false
+	a1, a2 := g.Adjacency()
+	a, x, y := a1, u, v
+	if a1.Off[u+1]-a1.Off[u] > a2.Off[v+1]-a2.Off[v] {
+		a, x, y = a2, v, u
 	}
-	for _, ei := range g.Adj2(v) {
-		if g.edges[ei].U == u {
-			return g.edges[ei].W, true
-		}
+	lo := a.Off[x]
+	if k := slices.Index(a.Opp[lo:a.Off[x+1]], y); k >= 0 {
+		return a.W[lo+int32(k)], true
 	}
 	return 0, false
 }
 
 // denseLookupEntries caps the n1*n2 product for which PairWeights uses a
-// dense weight matrix (8 bytes per cell plus one existence bit): above it
-// the lookup falls back to a hash map, keeping the resident memory of
-// very large stored graphs bounded.
+// dense weight matrix (8 bytes per cell): above it the lookup falls back
+// to a hash map, keeping the resident memory of very large stored graphs
+// bounded.
 const denseLookupEntries = 1 << 20
 
 // PairLookup is a constant-time (u,v) -> weight index over a graph's
-// edges. Small graphs use a dense matrix with an existence bitset (a
-// probe is two array loads, no hashing); large ones fall back to a map.
+// edges. Small graphs use a dense matrix (a probe is one array load, no
+// hashing); large ones fall back to a map.
 type PairLookup struct {
 	n2    int
 	dense []float64 // weight at u*n2+v; nil for the map representation
-	bits  []uint64  // edge-existence bitset for dense
 	m     map[int64]float64
 }
 
-// Weight reports the weight of edge (u,v) and whether it exists.
-func (l *PairLookup) Weight(u, v NodeID) (float64, bool) {
-	if l.dense != nil {
-		idx := int(u)*l.n2 + int(v)
-		if l.bits[idx>>6]&(1<<(uint(idx)&63)) == 0 {
-			return 0, false
-		}
-		return l.dense[idx], true
-	}
-	w, ok := l.m[pairKey(u, v)]
-	return w, ok
-}
-
 // WeightOrZero returns the weight of edge (u,v), or 0 when the edge is
-// absent, without reporting existence — the single-load fast path for
-// probe loops (like BAH's) that already treat zero-weight and missing
-// edges identically.
+// absent, without reporting existence, for probe loops (like BAH's)
+// that treat zero-weight and missing edges identically.
 func (l *PairLookup) WeightOrZero(u, v NodeID) float64 {
 	if l.dense != nil {
 		return l.dense[int(u)*l.n2+int(v)]
@@ -623,11 +513,8 @@ func (g *Bipartite) PairWeights() *PairLookup {
 		l := &PairLookup{n2: g.n2}
 		if cells := g.n1 * g.n2; cells > 0 && cells <= denseLookupEntries {
 			l.dense = make([]float64, cells)
-			l.bits = make([]uint64, (cells+63)/64)
 			for _, e := range g.edges {
-				idx := int(e.U)*g.n2 + int(e.V)
-				l.dense[idx] = e.W
-				l.bits[idx>>6] |= 1 << (uint(idx) & 63)
+				l.dense[int(e.U)*g.n2+int(e.V)] = e.W
 			}
 		} else {
 			l.m = make(map[int64]float64, len(g.edges))
@@ -639,18 +526,6 @@ func (g *Bipartite) PairWeights() *PairLookup {
 	})
 	return g.pair
 }
-
-// WeightLookup returns a constant-time weight lookup table for graphs
-// where repeated random-pair probes are needed. The backing index is
-// built once per graph and shared across calls. It is the functional
-// convenience form of PairWeights, which hot loops (like BAH's) use
-// directly to avoid the closure call.
-func (g *Bipartite) WeightLookup() WeightFunc {
-	return g.PairWeights().Weight
-}
-
-// WeightFunc reports the weight of a (u,v) pair and whether the edge exists.
-type WeightFunc func(u, v NodeID) (float64, bool)
 
 func pairKey(u, v NodeID) int64 { return int64(u)<<32 | int64(uint32(v)) }
 
@@ -671,88 +546,10 @@ func (g *Bipartite) Threshold(t float64) *Bipartite {
 // min-max normalization, as applied to every similarity graph in the
 // paper's experimental setup (Section 5). If all weights are equal, they
 // all become 1.
-//
-// The rescaling is strictly monotonic, so the descending-weight
-// permutation (and with it the CSR adjacency) carries over from g
-// unchanged and the rebuild sort is skipped. Rounding can collapse two
-// distinct weights onto the same normalized value, which would make the
-// inherited permutation disagree with a from-scratch sort on its
-// (U,V) tie-break; the exact comparator is therefore re-verified over
-// the transformed weights, falling back to a full rebuild on the first
-// violation.
 func (g *Bipartite) NormalizeMinMax() *Bipartite {
-	edges := make([]Edge, len(g.edges))
-	span := g.maxW - g.minW
-	for i, e := range g.edges {
-		w := 1.0
-		if span > 0 {
-			w = (e.W - g.minW) / span
-		}
-		edges[i] = Edge{U: e.U, V: e.V, W: w}
-	}
-	if g.indexed() {
-		// The source graph's index is already built: verify it orders
-		// the transformed weights exactly as the comparator would and
-		// inherit it; rebuild from scratch on the first violation.
-		if !sortedByWeight(edges, g.byWeight) {
-			return newBipartite(g.n1, g.n2, edges)
-		}
-		out := newBipartite(g.n1, g.n2, edges)
-		out.setIndex(g.off1, g.off2, g.adj1, g.adj2, g.byWeight)
-		return out
-	}
+	edges := slices.Clone(g.edges)
+	rescaleMinMax(edges)
 	return newBipartite(g.n1, g.n2, edges)
-}
-
-// indexed reports whether the matching indexes have been materialized,
-// without building them. The atomic flag is stored only after every
-// index array is fully written, so a true here (followed by the
-// release/acquire pair of the atomic) guarantees the arrays are safe to
-// read even when another goroutine raced the build.
-func (g *Bipartite) indexed() bool { return g.indexBuilt.Load() }
-
-// sortedByWeight reports whether perm orders edges exactly as
-// newBipartite's byWeight comparator would: descending weight with
-// (U,V)-ascending tie-breaks.
-func sortedByWeight(edges []Edge, perm []int32) bool {
-	for k := 1; k < len(perm); k++ {
-		prev, cur := edges[perm[k-1]], edges[perm[k]]
-		switch {
-		case prev.W > cur.W:
-		case prev.W < cur.W:
-			return false
-		case prev.U < cur.U:
-		case prev.U > cur.U:
-			return false
-		default:
-			if prev.V >= cur.V {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// AvgAdjWeight1 returns the average weight of edges incident to node u of
-// V1, or 0 if u is isolated. RSR seeds nodes in this order.
-func (g *Bipartite) AvgAdjWeight1(u NodeID) float64 {
-	return avgWeight(g.edges, g.Adj1(u))
-}
-
-// AvgAdjWeight2 is AvgAdjWeight1 for the V2 side.
-func (g *Bipartite) AvgAdjWeight2(v NodeID) float64 {
-	return avgWeight(g.edges, g.Adj2(v))
-}
-
-func avgWeight(edges []Edge, adj []int32) float64 {
-	if len(adj) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, ei := range adj {
-		s += edges[ei].W
-	}
-	return s / float64(len(adj))
 }
 
 // TotalWeight returns the sum of all edge weights.
@@ -773,44 +570,63 @@ func (g *Bipartite) Density() float64 {
 	return float64(len(g.edges)) / (float64(g.n1) * float64(g.n2))
 }
 
-// Validate checks structural invariants. It is used by property tests and
-// returns nil on a well-formed graph.
+// Validate checks structural invariants and returns nil on a
+// well-formed graph: no edge is duplicated, and each side's adjacency
+// lists hold exactly the edges, with bit-identical weights, in
+// (weight descending, neighbor ascending) order. Property tests and
+// fuzz targets use it.
 func (g *Bipartite) Validate() error {
-	g.ensureIndex()
-	if len(g.adj1) != len(g.edges) || len(g.adj2) != len(g.edges) {
-		return errors.New("graph: adjacency size mismatch")
-	}
-	for u := 0; u < g.n1; u++ {
-		adj := g.Adj1(NodeID(u))
-		for i, ei := range adj {
-			e := g.edges[ei]
-			if e.U != NodeID(u) {
-				return fmt.Errorf("graph: adj1[%d] points at edge of node %d", u, e.U)
-			}
-			if i > 0 && g.edges[adj[i-1]].W < e.W {
-				return fmt.Errorf("graph: adj1[%d] not sorted by descending weight", u)
-			}
-		}
-	}
-	for v := 0; v < g.n2; v++ {
-		adj := g.Adj2(NodeID(v))
-		for i, ei := range adj {
-			e := g.edges[ei]
-			if e.V != NodeID(v) {
-				return fmt.Errorf("graph: adj2[%d] points at edge of node %d", v, e.V)
-			}
-			if i > 0 && g.edges[adj[i-1]].W < e.W {
-				return fmt.Errorf("graph: adj2[%d] not sorted by descending weight", v)
-			}
-		}
-	}
-	seen := make(map[int64]bool, len(g.edges))
+	weights := make(map[int64]float64, len(g.edges))
 	for _, e := range g.edges {
 		k := pairKey(e.U, e.V)
-		if seen[k] {
+		if _, dup := weights[k]; dup {
 			return fmt.Errorf("graph: duplicate edge (%d,%d)", e.U, e.V)
 		}
-		seen[k] = true
+		weights[k] = e.W
+	}
+	a1, a2 := g.Adjacency()
+	if err := validateSide(a1, g.n1, false, weights); err != nil {
+		return err
+	}
+	return validateSide(a2, g.n2, true, weights)
+}
+
+// validateSide checks one side's adjacency a over its n nodes (the V2
+// side if v2) against the edge weights by pair key. Every list entry
+// must be an edge of its node with the edge's weight bits, and the
+// lists must hold as many entries as there are edges; strict order
+// within a list rules out a repeated entry, so together they hold each
+// edge exactly once.
+func validateSide(a Adjacency, n int, v2 bool, weights map[int64]float64) error {
+	side := "V1"
+	if v2 {
+		side = "V2"
+	}
+	m := int32(len(weights))
+	if len(a.Off) != n+1 || a.Off[0] != 0 || a.Off[n] != m || len(a.Opp) != int(m) || len(a.W) != int(m) {
+		return fmt.Errorf("graph: %s adjacency size mismatch", side)
+	}
+	for x := int32(0); x < int32(n); x++ {
+		lo, hi := a.Off[x], a.Off[x+1]
+		if lo > hi {
+			return fmt.Errorf("graph: %s offsets decrease at node %d", side, x)
+		}
+		for k := lo; k < hi; k++ {
+			u, v := x, a.Opp[k]
+			if v2 {
+				u, v = v, u
+			}
+			w, ok := weights[pairKey(u, v)]
+			if !ok {
+				return fmt.Errorf("graph: %s list of node %d holds %d, not an edge", side, x, a.Opp[k])
+			}
+			if math.Float64bits(w) != math.Float64bits(a.W[k]) {
+				return fmt.Errorf("graph: %s list of node %d has weight %v for %d, edge has %v", side, x, a.W[k], a.Opp[k], w)
+			}
+			if k > lo && !(a.W[k-1] > a.W[k] || a.W[k-1] == a.W[k] && a.Opp[k-1] < a.Opp[k]) {
+				return fmt.Errorf("graph: %s list of node %d not in (weight descending, neighbor ascending) order", side, x)
+			}
+		}
 	}
 	return nil
 }

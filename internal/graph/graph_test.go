@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -116,12 +117,13 @@ func TestDuplicateEdgesKeepMax(t *testing.T) {
 
 func TestAdjacencySortedDesc(t *testing.T) {
 	g := paperGraph(t)
-	adj := g.Adj2(0) // B1: edges to A5 (0.9) and A1 (0.6)
-	if len(adj) != 2 {
-		t.Fatalf("deg(B1) = %d, want 2", len(adj))
+	_, a2 := g.Adjacency()
+	lo, hi := a2.Off[0], a2.Off[1] // B1: edges to A5 (0.9) and A1 (0.6)
+	if hi-lo != 2 {
+		t.Fatalf("deg(B1) = %d, want 2", hi-lo)
 	}
-	if g.Edge(adj[0]).U != 4 || g.Edge(adj[1]).U != 0 {
-		t.Fatalf("B1 adjacency not weight-sorted: %v %v", g.Edge(adj[0]), g.Edge(adj[1]))
+	if a2.Opp[lo] != 4 || a2.Opp[lo+1] != 0 || a2.W[lo] != 0.9 || a2.W[lo+1] != 0.6 {
+		t.Fatalf("B1 adjacency not weight-sorted: %v %v", a2.Opp[lo:hi], a2.W[lo:hi])
 	}
 }
 
@@ -141,22 +143,21 @@ func TestEdgesByWeight(t *testing.T) {
 	}
 }
 
-func TestWeightLookup(t *testing.T) {
-	g := paperGraph(t)
-	lookup := g.WeightLookup()
-	if w, ok := lookup(4, 0); !ok || w != 0.9 {
-		t.Fatalf("lookup(A5,B1) = %v,%v", w, ok)
-	}
-	if _, ok := lookup(0, 3); ok {
-		t.Fatal("lookup found a non-existent edge")
-	}
-	// Agreement with scanning Weight.
-	for u := NodeID(0); int(u) < g.N1(); u++ {
-		for v := NodeID(0); int(v) < g.N2(); v++ {
-			w1, ok1 := g.Weight(u, v)
-			w2, ok2 := lookup(u, v)
-			if w1 != w2 || ok1 != ok2 {
-				t.Fatalf("Weight(%d,%d) = %v,%v but lookup = %v,%v", u, v, w1, ok1, w2, ok2)
+// Weight must find every edge with its weight and no other pair,
+// whichever side's list is the shorter.
+func TestWeight(t *testing.T) {
+	for _, g := range []*Bipartite{paperGraph(t), randomTestGraph(8, 12, 30, 120)} {
+		want := map[[2]NodeID]float64{}
+		for _, e := range g.Edges() {
+			want[[2]NodeID{e.U, e.V}] = e.W
+		}
+		for u := NodeID(0); int(u) < g.N1(); u++ {
+			for v := NodeID(0); int(v) < g.N2(); v++ {
+				w, ok := g.Weight(u, v)
+				ww, wok := want[[2]NodeID{u, v}]
+				if w != ww || ok != wok {
+					t.Fatalf("Weight(%d,%d) = %v,%v, want %v,%v", u, v, w, ok, ww, wok)
+				}
 			}
 		}
 	}
@@ -195,16 +196,6 @@ func TestNormalizeMinMax(t *testing.T) {
 		if e.W != 1 {
 			t.Fatalf("constant graph normalized to %v, want 1", e.W)
 		}
-	}
-}
-
-func TestAvgAdjWeight(t *testing.T) {
-	g := paperGraph(t)
-	if got := g.AvgAdjWeight2(0); math.Abs(got-0.75) > 1e-12 { // B1: (0.9+0.6)/2
-		t.Fatalf("AvgAdjWeight2(B1) = %v, want 0.75", got)
-	}
-	if got := g.AvgAdjWeight1(3); got != 0 { // A4 isolated
-		t.Fatalf("AvgAdjWeight1(A4) = %v, want 0", got)
 	}
 }
 
@@ -386,8 +377,8 @@ func randomTestGraph(seed int64, n1, n2, edges int) *Bipartite {
 	return b.MustBuild()
 }
 
-// PairWeights must agree with Weight on every cell, in both the dense
-// and the map representation.
+// PairWeights' WeightOrZero must agree with Weight on every cell (0 for
+// an absent pair), in both the dense and the map representation.
 func TestPairLookupMatchesWeight(t *testing.T) {
 	dense := randomTestGraph(3, 20, 30, 150)
 	big := randomTestGraph(4, 1<<11, 1<<10, 500) // n1*n2 > denseLookupEntries -> map
@@ -400,21 +391,16 @@ func TestPairLookupMatchesWeight(t *testing.T) {
 			t.Fatalf("big graph got a dense lookup")
 		}
 		for _, e := range g.Edges() {
-			w, ok := l.Weight(e.U, e.V)
-			if !ok || w != e.W {
-				t.Fatalf("%s: Weight(%d,%d) = %v,%v, want %v,true", name, e.U, e.V, w, ok, e.W)
-			}
 			if wz := l.WeightOrZero(e.U, e.V); wz != e.W {
 				t.Fatalf("%s: WeightOrZero(%d,%d) = %v, want %v", name, e.U, e.V, wz, e.W)
 			}
 		}
-		// Probe some absent pairs.
-		for u := NodeID(0); u < 5; u++ {
-			for v := NodeID(0); v < 5; v++ {
-				want, wantOK := g.Weight(u, v)
-				got, ok := l.Weight(u, v)
-				if got != want || ok != wantOK {
-					t.Fatalf("%s: Weight(%d,%d) = %v,%v, want %v,%v", name, u, v, got, ok, want, wantOK)
+		// Every cell of the dense graph, and a corner of the big one.
+		for u := NodeID(0); u < 20; u++ {
+			for v := NodeID(0); v < 30; v++ {
+				want, _ := g.Weight(u, v)
+				if got := l.WeightOrZero(u, v); got != want {
+					t.Fatalf("%s: WeightOrZero(%d,%d) = %v, Weight %v", name, u, v, got, want)
 				}
 			}
 		}
@@ -424,81 +410,100 @@ func TestPairLookupMatchesWeight(t *testing.T) {
 	}
 }
 
-// The structural-reuse NormalizeMinMax must equal a from-scratch rebuild
-// of the rescaled edges, including adjacency order and byWeight ties.
+// NormalizeMinMax must equal a from-scratch build of the rescaled edges
+// in checksum, both sides' adjacency and the by-weight order, whether or
+// not the source graph's index was built first.
 func TestNormalizeMinMaxMatchesRebuild(t *testing.T) {
-	cases := []*Bipartite{
-		randomTestGraph(5, 15, 25, 120),
-		NewBuilder(3, 3).MustBuild(), // empty
+	cases := []func() *Bipartite{
+		func() *Bipartite { return randomTestGraph(5, 15, 25, 120) },
+		func() *Bipartite { return NewBuilder(3, 3).MustBuild() }, // empty
 		func() *Bipartite { // all weights equal: everything becomes 1
 			b := NewBuilder(4, 4)
 			b.Add(0, 1, 0.3)
 			b.Add(2, 3, 0.3)
 			b.Add(1, 0, 0.3)
 			return b.MustBuild()
-		}(),
+		},
 		func() *Bipartite { // negative weights
 			b := NewBuilder(3, 3)
 			b.Add(0, 0, -2)
 			b.Add(1, 1, 0)
 			b.Add(2, 2, 2)
 			return b.MustBuild()
-		}(),
+		},
 	}
-	for i, g := range cases {
-		fast := g.NormalizeMinMax()
-		span := g.MaxWeight() - g.MinWeight()
-		rb := NewBuilder(g.N1(), g.N2())
-		for _, e := range g.Edges() {
-			w := 1.0
-			if span > 0 {
-				w = (e.W - g.MinWeight()) / span
+	for i, mk := range cases {
+		for _, indexed := range []bool{false, true} {
+			g := mk()
+			if indexed {
+				g.EdgesByWeight()
 			}
-			rb.Add(e.U, e.V, w)
-		}
-		want := rb.MustBuild()
-		if fast.Checksum() != want.Checksum() {
-			t.Fatalf("case %d: normalized checksum differs from rebuild", i)
-		}
-		for u := 0; u < g.N1(); u++ {
-			fa, wa := fast.AdjList1(NodeID(u))
-			ga, gw := want.AdjList1(NodeID(u))
-			if len(fa) != len(ga) {
-				t.Fatalf("case %d: adjacency length differs at node %d", i, u)
-			}
-			for k := range fa {
-				if fa[k] != ga[k] || wa[k] != gw[k] {
-					t.Fatalf("case %d: adjacency differs at node %d entry %d", i, u, k)
+			got := g.NormalizeMinMax()
+			span := g.MaxWeight() - g.MinWeight()
+			rb := NewBuilder(g.N1(), g.N2())
+			for _, e := range g.Edges() {
+				w := 1.0
+				if span > 0 {
+					w = (e.W - g.MinWeight()) / span
 				}
+				rb.Add(e.U, e.V, w)
 			}
-		}
-		if err := fast.Validate(); err != nil {
-			t.Fatalf("case %d: %v", i, err)
+			want := rb.MustBuild()
+			if got.Checksum() != want.Checksum() {
+				t.Fatalf("case %d indexed=%v: normalized checksum differs from rebuild", i, indexed)
+			}
+			g1, g2 := got.Adjacency()
+			w1, w2 := want.Adjacency()
+			if !reflect.DeepEqual(g1, w1) || !reflect.DeepEqual(g2, w2) {
+				t.Fatalf("case %d indexed=%v: adjacency differs from rebuild", i, indexed)
+			}
+			if !slices.Equal(got.EdgesByWeight(), want.EdgesByWeight()) {
+				t.Fatalf("case %d indexed=%v: by-weight order differs from rebuild", i, indexed)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("case %d indexed=%v: %v", i, indexed, err)
+			}
 		}
 	}
 }
 
-// AdjList must mirror Adj exactly.
-func TestAdjListsMatchAdjacency(t *testing.T) {
+// Each side's adjacency must list exactly the graph's edges, node by
+// node, in (weight descending, neighbor ascending) order.
+func TestAdjacencyMatchesEdges(t *testing.T) {
 	g := randomTestGraph(6, 30, 20, 200)
-	for u := 0; u < g.N1(); u++ {
-		opp, ws := g.AdjList1(NodeID(u))
-		adj := g.Adj1(NodeID(u))
-		if len(opp) != len(adj) {
-			t.Fatalf("node %d: AdjList1 has %d entries, Adj1 %d", u, len(opp), len(adj))
+	a1, a2 := g.Adjacency()
+	for _, side := range []struct {
+		a     Adjacency
+		n     int
+		nodes func(e Edge) (x, opp NodeID)
+	}{
+		{a1, g.N1(), func(e Edge) (NodeID, NodeID) { return e.U, e.V }},
+		{a2, g.N2(), func(e Edge) (NodeID, NodeID) { return e.V, e.U }},
+	} {
+		lists := make([][]Edge, side.n)
+		for _, e := range g.Edges() {
+			x, opp := side.nodes(e)
+			lists[x] = append(lists[x], Edge{U: x, V: opp, W: e.W})
 		}
-		for k, ei := range adj {
-			if e := g.Edge(ei); opp[k] != e.V || ws[k] != e.W {
-				t.Fatalf("node %d entry %d: (%d,%v), want (%d,%v)", u, k, opp[k], ws[k], e.V, e.W)
+		for x, want := range lists {
+			slices.SortFunc(want, func(p, q Edge) int {
+				switch {
+				case p.W > q.W:
+					return -1
+				case p.W < q.W:
+					return 1
+				default:
+					return int(p.V) - int(q.V)
+				}
+			})
+			lo, hi := side.a.Off[x], side.a.Off[x+1]
+			if int(hi-lo) != len(want) {
+				t.Fatalf("node %d lists %d entries, has %d edges", x, hi-lo, len(want))
 			}
-		}
-	}
-	for v := 0; v < g.N2(); v++ {
-		opp, ws := g.AdjList2(NodeID(v))
-		adj := g.Adj2(NodeID(v))
-		for k, ei := range adj {
-			if e := g.Edge(ei); opp[k] != e.U || ws[k] != e.W {
-				t.Fatalf("node %d entry %d: (%d,%v), want (%d,%v)", v, k, opp[k], ws[k], e.U, e.W)
+			for k, e := range want {
+				if opp, w := side.a.Opp[lo+int32(k)], side.a.W[lo+int32(k)]; opp != e.V || w != e.W {
+					t.Fatalf("node %d entry %d: (%d,%v), want (%d,%v)", x, k, opp, w, e.V, e.W)
+				}
 			}
 		}
 	}
