@@ -126,8 +126,8 @@ func (b *Builder) BuildNormalized() (*Bipartite, error) {
 	return newBipartite(b.n1, b.n2, edges), nil
 }
 
-// weightRange returns the smallest and largest weight of a non-empty
-// edge list.
+// weightRange returns the smallest and largest edge weight (+Inf and
+// -Inf for no edges).
 func weightRange(edges []Edge) (minW, maxW float64) {
 	minW, maxW = math.Inf(1), math.Inf(-1)
 	for _, e := range edges {
