@@ -745,25 +745,37 @@ func TestClusterRepairConvergence(t *testing.T) {
 	}
 
 	// The repair block on /v1/cluster must account for the rebuild.
-	var cs struct {
-		Repair struct {
+	type clusterView struct {
+		Backends []cluster.BackendState `json:"backends"`
+		Repair   struct {
 			Scans          int64          `json:"scans_total"`
 			GraphsRepaired int64          `json:"graphs_repaired_total"`
 			Bytes          int64          `json:"bytes_total"`
+			Failures       int64          `json:"failures_total"`
 			Diverged       map[string]int `json:"diverged"`
 		} `json:"repair"`
 	}
+	var cs clusterView
+	startScans := int64(-1)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		// Each poll decodes into a fresh value: json.Unmarshal keeps the
+		// keys already in a map it decodes into, so a reused Diverged
+		// would list every graph an earlier poll saw diverged.
+		cs = clusterView{}
 		code, body, err := chaosGet(front.URL + "/v1/cluster")
 		if err != nil || code != http.StatusOK || json.Unmarshal(body, &cs) != nil {
 			t.Fatalf("cluster state: code=%d err=%v", code, err)
+		}
+		if startScans < 0 {
+			startScans = cs.Repair.Scans
 		}
 		if cs.Repair.GraphsRepaired >= int64(len(wantOnVictim)) && len(cs.Repair.Diverged) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("repair accounting never settled: %+v", cs.Repair)
+			t.Fatalf("repair accounting never settled: scans_total %d at the start of the wait, %d at the end; failures_total %d; repair %+v; backends %+v",
+				startScans, cs.Repair.Scans, cs.Repair.Failures, cs.Repair, cs.Backends)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
