@@ -321,6 +321,26 @@ type SyncListing struct {
 	Tombstones []SyncEntry `json:"tombstones"`
 }
 
+// graphPath is the backend path of a method's request about graph
+// name, with query appended: POST uploads to /v1/graphs?name=..., and
+// GET and DELETE address /v1/graphs/{name}. Every backend path that
+// names a graph is built here, with the name escaped, so a name holding
+// '?', '#', '%', '&', ' ' or '/' reaches the backend as itself.
+func graphPath(method, name, query string) string {
+	if method == http.MethodPost {
+		path := "/v1/graphs?name=" + url.QueryEscape(name)
+		if query != "" {
+			path += "&" + query
+		}
+		return path
+	}
+	path := "/v1/graphs/" + url.PathEscape(name)
+	if query != "" {
+		path += "?" + query
+	}
+	return path
+}
+
 // ListSync fetches the node's cheap sync listing.
 func (c *Client) ListSync(ctx context.Context) (*SyncListing, error) {
 	reply, err := c.do(ctx, http.MethodGet, "/v1/graphs?fields=sync", "", nil, true)
@@ -337,7 +357,7 @@ func (c *Client) ListSync(ctx context.Context) (*SyncListing, error) {
 // EdgeList downloads a graph in the edge-list wire format — the bytes a
 // repair stream forwards verbatim to a stale replica.
 func (c *Client) EdgeList(ctx context.Context, name string) ([]byte, error) {
-	reply, err := c.do(ctx, http.MethodGet, "/v1/graphs/"+name+"?format=edgelist", "", nil, true)
+	reply, err := c.do(ctx, http.MethodGet, graphPath(http.MethodGet, name, "format=edgelist"), "", nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +372,7 @@ func (c *Client) EdgeList(ctx context.Context, name string) ([]byte, error) {
 // The server applies it only if it is genuinely newer, so the call is
 // idempotent and safe to retry; applied reports whether state changed.
 func (c *Client) SyncPutEdgeList(ctx context.Context, name string, version int64, edgeList []byte) (applied bool, err error) {
-	path := "/v1/graphs?name=" + url.QueryEscape(name) + "&sync_version=" + strconv.FormatInt(version, 10)
+	path := graphPath(http.MethodPost, name, "sync_version="+strconv.FormatInt(version, 10))
 	reply, err := c.do(ctx, http.MethodPost, path, "text/plain", edgeList, true)
 	if err != nil {
 		return false, err
@@ -367,7 +387,7 @@ func (c *Client) SyncPutEdgeList(ctx context.Context, name string, version int64
 // is at or below version. Conditional like SyncPutEdgeList — "already
 // gone" is success, not a 404.
 func (c *Client) SyncDelete(ctx context.Context, name string, version int64) (applied bool, err error) {
-	path := "/v1/graphs/" + name + "?sync_version=" + strconv.FormatInt(version, 10)
+	path := graphPath(http.MethodDelete, name, "sync_version="+strconv.FormatInt(version, 10))
 	reply, err := c.do(ctx, http.MethodDelete, path, "", nil, true)
 	if err != nil {
 		return false, err

@@ -766,15 +766,15 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	path := "/v1/graphs"
-	if !strings.HasPrefix(contentType, "application/json") && name != "" {
-		path += "?name=" + name
+	if !strings.HasPrefix(contentType, "application/json") {
+		path = graphPath(http.MethodPost, name, "")
 	}
 	rt.fanWrite(w, r, name, http.MethodPost, path, contentType, body)
 }
 
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	rt.fanWrite(w, r, name, http.MethodDelete, "/v1/graphs/"+name, "", nil)
+	rt.fanWrite(w, r, name, http.MethodDelete, graphPath(http.MethodDelete, name, ""), "", nil)
 }
 
 // fanWrite sends the mutation to every replica of name concurrently
@@ -861,12 +861,8 @@ func (rt *Router) fanWrite(w http.ResponseWriter, r *http.Request, name, method,
 
 func (rt *Router) handleGraphRead(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	path := "/v1/graphs/" + name
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
 	order, anyHealthy := rt.replicasFor(name)
-	rt.routeRead(w, r, order, anyHealthy, path, "", nil)
+	rt.routeRead(w, r, order, anyHealthy, graphPath(http.MethodGet, name, r.URL.RawQuery), "", nil)
 }
 
 func (rt *Router) handleMatch(w http.ResponseWriter, r *http.Request) {
