@@ -146,6 +146,16 @@ func weightRange(edges []Edge) (minW, maxW float64) {
 func rescaleMinMax(edges []Edge) {
 	minW, maxW := weightRange(edges)
 	span := maxW - minW
+	if math.IsInf(span, 1) {
+		// Finite weights more than math.MaxFloat64 apart: the halved
+		// span is finite. Only such a span takes this branch, so every
+		// other graph rescales by the expression below, bit for bit.
+		minW, span = minW/2, maxW/2-minW/2
+		for i := range edges {
+			edges[i].W = (edges[i].W/2 - minW) / span
+		}
+		return
+	}
 	for i := range edges {
 		w := 1.0
 		if span > 0 {
@@ -571,13 +581,17 @@ func (g *Bipartite) Density() float64 {
 }
 
 // Validate checks structural invariants and returns nil on a
-// well-formed graph: no edge is duplicated, and each side's adjacency
-// lists hold exactly the edges, with bit-identical weights, in
-// (weight descending, neighbor ascending) order. Property tests and
-// fuzz targets use it.
+// well-formed graph: every weight is finite, no edge is duplicated,
+// and each side's adjacency lists hold exactly the edges, with
+// bit-identical weights, in (weight descending, neighbor ascending)
+// order. It is test support: the property tests and fuzz targets of
+// this package and internal/simgraph's tests call it.
 func (g *Bipartite) Validate() error {
 	weights := make(map[int64]float64, len(g.edges))
 	for _, e := range g.edges {
+		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+			return fmt.Errorf("graph: non-finite weight %v for edge (%d,%d)", e.W, e.U, e.V)
+		}
 		k := pairKey(e.U, e.V)
 		if _, dup := weights[k]; dup {
 			return fmt.Errorf("graph: duplicate edge (%d,%d)", e.U, e.V)

@@ -199,6 +199,40 @@ func TestNormalizeMinMax(t *testing.T) {
 	}
 }
 
+// TestNormalizeSpanBeyondMaxFloat: finite weights more than
+// math.MaxFloat64 apart rescale onto [0,1] on both normalizing routes,
+// and Validate rejects the non-finite weights an overflowed span used
+// to leave.
+func TestNormalizeSpanBeyondMaxFloat(t *testing.T) {
+	src := "2 2\n0 0 -1e308\n1 1 1e308\n"
+	g, err := ReadEdgeList(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(2, 2)
+	for _, e := range g.Edges() {
+		b.Add(e.U, e.V, e.W)
+	}
+	fused, err := b.BuildNormalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edge{{0, 0, 0}, {1, 1, 1}}
+	for _, n := range []*Bipartite{g.NormalizeMinMax(), fused} {
+		if !slices.Equal(n.Edges(), want) {
+			t.Fatalf("%q normalized to %v, want %v", src, n.Edges(), want)
+		}
+		if err := n.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if newBipartite(2, 2, []Edge{{0, 0, 0.5}, {1, 1, w}}).Validate() == nil {
+			t.Fatalf("Validate accepted weight %v", w)
+		}
+	}
+}
+
 func TestDensityAndTotals(t *testing.T) {
 	g := paperGraph(t)
 	if got, want := g.Density(), 5.0/20.0; math.Abs(got-want) > 1e-12 {
