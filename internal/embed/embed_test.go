@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/ccer-go/ccer/internal/datagen"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -237,19 +239,39 @@ func TestEmbedTokensMatchesEmbed(t *testing.T) {
 }
 
 // The fused pair kernel must be bit-identical to the standalone
-// similarities.
+// similarities, on a few short texts and on the golden task's (the D2
+// task internal/simgraph's golden test generates from): its name texts
+// (SB-SEM) and whole-entity texts (SA-SEM). The golden test's dense
+// loop reads CosineEuclidean, so this is what pins it to the
+// definitions.
 func TestCosineEuclideanFused(t *testing.T) {
+	spec, err := datagen.SpecByID("D2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := spec.Generate(3, 0.03)
+	short := []string{"galaxy note", "galaxy tab pro", "quantum flux", ""}
+	scopes := [][2][]string{
+		{short, short},
+		{task.V1.AttrTexts("name"), task.V2.AttrTexts("name")},
+		{task.V1.Texts(), task.V2.Texts()},
+	}
 	for _, m := range Models() {
-		texts := []string{"galaxy note", "galaxy tab pro", "quantum flux", ""}
-		for _, ta := range texts {
-			for _, tb := range texts {
-				a, b := m.Embed(ta), m.Embed(tb)
-				cos, euc := CosineEuclidean(a, b, NormSq(a), NormSq(b))
-				if math.Float64bits(cos) != math.Float64bits(CosineSim(a, b)) {
-					t.Fatalf("%s: fused cosine differs for (%q,%q)", m.Name(), ta, tb)
-				}
-				if math.Float64bits(euc) != math.Float64bits(EuclideanSim(a, b)) {
-					t.Fatalf("%s: fused euclidean differs for (%q,%q)", m.Name(), ta, tb)
+		for _, sc := range scopes {
+			bs := make([][]float64, len(sc[1]))
+			for j, tb := range sc[1] {
+				bs[j] = m.Embed(tb)
+			}
+			for _, ta := range sc[0] {
+				a := m.Embed(ta)
+				for j, b := range bs {
+					cos, euc := CosineEuclidean(a, b, NormSq(a), NormSq(b))
+					if math.Float64bits(cos) != math.Float64bits(CosineSim(a, b)) {
+						t.Fatalf("%s: fused cosine differs for (%q,%q)", m.Name(), ta, sc[1][j])
+					}
+					if math.Float64bits(euc) != math.Float64bits(EuclideanSim(a, b)) {
+						t.Fatalf("%s: fused euclidean differs for (%q,%q)", m.Name(), ta, sc[1][j])
+					}
 				}
 			}
 		}

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/ccer-go/ccer/internal/datagen"
+	"github.com/ccer-go/ccer/internal/dataset"
 	"github.com/ccer-go/ccer/internal/strsim"
 	"github.com/ccer-go/ccer/internal/vector"
 )
@@ -181,22 +183,48 @@ func TestPropertyGraphSimContracts(t *testing.T) {
 	}
 }
 
-// AllSims must agree with the individual measures.
+// AllSims must equal the individual measures bit for bit, on a few
+// short values and on the entity graphs of the golden task (the D2
+// task internal/simgraph's golden test generates from) under every
+// mode: the golden test's dense loop reads AllSims, so this is what
+// pins the kernel to the per-measure definitions.
 func TestAllSimsConsistent(t *testing.T) {
-	v := NewVocab()
-	texts := []string{"green apple pie", "green apple tart", "", "quantum flux device"}
-	for _, ta := range texts {
-		for _, tb := range texts {
-			a := FromValue(v, charMode(3), ta)
-			b := FromValue(v, charMode(3), tb)
-			all := AllSims(a, b)
-			want := [4]float64{Containment(a, b), Value(a, b), NormalizedValue(a, b), Overall(a, b)}
-			for i := range want {
-				if math.Abs(all[i]-want[i]) > 1e-12 {
-					t.Fatalf("AllSims[%d](%q,%q) = %v, want %v", i, ta, tb, all[i], want[i])
+	check := func(name string, as, bs []*Graph) {
+		t.Helper()
+		for i, a := range as {
+			for j, b := range bs {
+				all := AllSims(a, b)
+				want := [4]float64{Containment(a, b), Value(a, b), NormalizedValue(a, b), Overall(a, b)}
+				for k := range want {
+					if math.Float64bits(all[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("%s: AllSims[%d](%d,%d) = %v, want %v", name, k, i, j, all[k], want[k])
+					}
 				}
 			}
 		}
+	}
+	v := NewVocab()
+	var short []*Graph
+	for _, text := range []string{"green apple pie", "green apple tart", "", "quantum flux device"} {
+		short = append(short, FromValue(v, charMode(3), text))
+	}
+	check("short values", short, short)
+
+	spec, err := datagen.SpecByID("D2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := spec.Generate(3, 0.03)
+	for _, mode := range vector.Modes() {
+		v := NewVocab()
+		entities := func(c *dataset.Collection) []*Graph {
+			out := make([]*Graph, c.Len())
+			for i, p := range c.Profiles {
+				out[i] = FromEntity(v, mode, p.Values())
+			}
+			return out
+		}
+		check(mode.String(), entities(task.V1), entities(task.V2))
 	}
 }
 

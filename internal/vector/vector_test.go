@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/ccer-go/ccer/internal/datagen"
 	"github.com/ccer-go/ccer/internal/strsim"
 )
 
@@ -224,17 +225,33 @@ func TestPropertyMeasureRange(t *testing.T) {
 	}
 }
 
-// AllSims must agree with the individual Sim calls.
+// goldenTexts are the schema-agnostic texts of the task that
+// internal/simgraph's golden test generates its graphs from.
+func goldenTexts(t *testing.T) (texts1, texts2 []string) {
+	t.Helper()
+	spec, err := datagen.SpecByID("D2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := spec.Generate(3, 0.03)
+	return task.V1.Texts(), task.V2.Texts()
+}
+
+// AllSims must equal the individual Sim calls bit for bit, on the small
+// test space and on the golden task's texts under every mode: the
+// golden test's dense loop reads AllSims, so this is what pins the
+// kernel to the per-measure definitions.
 func TestAllSimsConsistent(t *testing.T) {
+	g1, g2 := goldenTexts(t)
 	for _, mode := range Modes() {
-		s := newTestSpace(mode)
-		for i := 0; i < s.N1(); i++ {
-			for j := 0; j < s.N2(); j++ {
-				all := s.AllSims(i, j)
-				for k, m := range Measures() {
-					want := s.Sim(m, i, j)
-					if math.Abs(all[k]-want) > 1e-12 {
-						t.Fatalf("%s AllSims[%s](%d,%d) = %v, want %v", mode, m, i, j, all[k], want)
+		for _, s := range []*Space{newTestSpace(mode), NewSpace(mode, g1, g2)} {
+			for i := range s.docs1 {
+				for j := range s.docs2 {
+					all := s.AllSims(i, j)
+					for k, m := range Measures() {
+						if want := s.Sim(m, i, j); math.Float64bits(all[k]) != math.Float64bits(want) {
+							t.Fatalf("%s AllSims[%s](%d,%d) = %v, want %v", mode, m, i, j, all[k], want)
+						}
 					}
 				}
 			}
