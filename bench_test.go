@@ -14,6 +14,7 @@ package ccer
 // repeats) use cmd/erbench instead.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -22,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ccer-go/ccer/internal/algo"
 	"github.com/ccer-go/ccer/internal/core"
 	"github.com/ccer-go/ccer/internal/datagen"
 	"github.com/ccer-go/ccer/internal/exp"
@@ -48,9 +50,20 @@ func benchConfig() exp.Config {
 	}
 }
 
+// buildCorpus builds a corpus without cancellation, failing the
+// benchmark on an error.
+func buildCorpus(b *testing.B, cfg exp.Config) *exp.Corpus {
+	b.Helper()
+	c, err := exp.BuildCorpusCtx(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
 func corpus(b *testing.B) *exp.Corpus {
 	b.Helper()
-	benchOnce.Do(func() { benchCorpus = exp.BuildCorpus(benchConfig()) })
+	benchOnce.Do(func() { benchCorpus = buildCorpus(b, benchConfig()) })
 	return benchCorpus
 }
 
@@ -60,7 +73,7 @@ func BenchmarkCorpusBuild(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Datasets = []string{"D1"}
 	for i := 0; i < b.N; i++ {
-		exp.BuildCorpus(cfg)
+		buildCorpus(b, cfg)
 	}
 }
 
@@ -125,7 +138,7 @@ func BenchmarkCorpusBuildWorkers(b *testing.B) {
 			cfg.Datasets = []string{"D1"}
 			cfg.Parallelism = workers
 			for i := 0; i < b.N; i++ {
-				exp.BuildCorpus(cfg)
+				buildCorpus(b, cfg)
 			}
 		})
 	}
@@ -318,7 +331,7 @@ func matchColdGraphs() []*graph.Bipartite {
 		task := spec.Generate(1, 0.5)
 		opts := simgraph.Options{Families: []simgraph.Family{simgraph.SBSem}, KeepNoMatchGraphs: true}
 		for _, sg := range simgraph.Generate(task, spec.KeyAttrs, opts) {
-			for _, m := range core.All(1) {
+			for _, m := range paperMatchers() {
 				m.Match(sg.G, 0.99)
 			}
 			coldGraphs = append(coldGraphs, sg.G)
@@ -352,13 +365,23 @@ func BenchmarkGenerateCold(b *testing.B) {
 
 var graphsSink int
 
+// paperMatchers returns the paper's eight matchers in presentation
+// order, BAH seeded 1.
+func paperMatchers() []core.Matcher {
+	ms, err := algo.AllByName(core.Names(), 1)
+	if err != nil {
+		panic(err)
+	}
+	return ms
+}
+
 // BenchmarkMatchersCold is the paper's QT(1) as loadbench's match-cold
 // workload serves it: one algorithm per sub-benchmark, the i-th call on
 // cold graph i mod 6 at the i-th point of match-cold's golden-ratio
 // threshold sequence over [0.1, 0.6).
 func BenchmarkMatchersCold(b *testing.B) {
 	gs := matchColdGraphs()
-	for _, m := range core.All(1) {
+	for _, m := range paperMatchers() {
 		b.Run(m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, frac := math.Modf(float64(i) * 0.6180339887498949)
@@ -436,20 +459,6 @@ func BenchmarkAblationBAHSteps(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationThresholdView measures the cost of materializing the
-// pruned graph view that the matchers avoid by scanning descending
-// adjacency prefixes (DESIGN.md ablation on the edge-pruning strategy).
-func BenchmarkAblationThresholdView(b *testing.B) {
-	g := benchGraph(2_000, 50_000)
-	for _, t := range []float64{0.25, 0.5, 0.75} {
-		b.Run(fmt.Sprintf("t%.2f", t), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g.Threshold(t)
-			}
-		})
-	}
-}
-
 // benchD2Config is the D2 grid used by the serial-vs-parallel engine
 // benchmarks: one dataset, all four weight families, the eight paper
 // algorithms.
@@ -464,7 +473,7 @@ func benchD2Config(parallelism int) exp.Config {
 // similarity graph × every algorithm × 20 thresholds) on one worker.
 func BenchmarkD2GridSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp.BuildCorpus(benchD2Config(1))
+		buildCorpus(b, benchD2Config(1))
 	}
 }
 
@@ -473,7 +482,7 @@ func BenchmarkD2GridSerial(b *testing.B) {
 // machine with >=4 cores the parallel grid runs >=2x faster.
 func BenchmarkD2GridParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp.BuildCorpus(benchD2Config(0))
+		buildCorpus(b, benchD2Config(0))
 	}
 }
 

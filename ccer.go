@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"time"
 
 	"github.com/ccer-go/ccer/internal/algo"
 	"github.com/ccer-go/ccer/internal/core"
@@ -78,7 +77,8 @@ type (
 )
 
 // NewGraphBuilder returns a builder for a bipartite graph with n1 and n2
-// nodes on the two sides.
+// nodes on the two sides. It is the first call of the package doc's
+// quick start; the binaries here build graphs through internal/graph.
 func NewGraphBuilder(n1, n2 int) *GraphBuilder { return graph.NewBuilder(n1, n2) }
 
 // NewGroundTruth builds a ground truth from (i, j) index pairs.
@@ -208,7 +208,8 @@ type MatchResult struct {
 // input order. Output is deterministic: every matcher in this module
 // keeps its mutable state local to a Match call, and each algorithm runs
 // on exactly one worker, so the pairs are identical to len(algorithms)
-// sequential Match calls.
+// sequential Match calls. README's parallelism notes document it for
+// library callers; no binary here calls it.
 func MatchConcurrent(g *Graph, algorithms []string, t float64, opts Options) ([]MatchResult, error) {
 	ms, err := algo.AllByName(algorithms, opts.seed())
 	if err != nil {
@@ -228,10 +229,6 @@ func MatchConcurrent(g *Graph, algorithms []string, t float64, opts Options) ([]
 
 // SimilarityFunc scores the similarity of two strings in [0,1].
 type SimilarityFunc = strsim.Func
-
-// StringSimilarities returns the paper's sixteen schema-based syntactic
-// similarity measures by name (seven character-level, nine token-level).
-func StringSimilarities() map[string]SimilarityFunc { return strsim.AllMeasures() }
 
 // JaroSimilarity is the Jaro similarity, a convenient default for short
 // names.
@@ -272,16 +269,6 @@ func scorePairs(texts1, texts2 []string, sim SimilarityFunc, minSim float64, pai
 	return b.Build()
 }
 
-// Dataset identifiers of the paper's ten benchmarks, reproduced as
-// synthetic analogs (see DESIGN.md for the substitution rationale).
-func Datasets() []string {
-	ids := make([]string, 0, 10)
-	for _, s := range datagen.Specs() {
-		ids = append(ids, s.ID)
-	}
-	return ids
-}
-
 // GenerateDataset builds the synthetic analog of the identified dataset
 // ("D1".."D10") at the given scale (1.0 = the paper's full Table 2
 // sizes). The same (seed, scale) always yields the same task.
@@ -320,11 +307,4 @@ type SimilarityGraph = simgraph.SimGraph
 // restricts the weight families (nil = all four).
 func GenerateGraphs(task *Task, keyAttrs []string, families []WeightFamily) []SimilarityGraph {
 	return simgraph.Generate(task, keyAttrs, simgraph.Options{Families: families})
-}
-
-// BAHConfig returns a Best Assignment Heuristic matcher with explicit
-// caps, for callers that need tighter bounds than the paper's defaults
-// of 10,000 steps and 2 minutes.
-func BAHConfig(seed int64, maxSteps int, maxDuration time.Duration) Matcher {
-	return core.BAH{Seed: seed, MaxSteps: maxSteps, MaxDuration: maxDuration}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"os"
 	"testing"
@@ -44,12 +45,15 @@ func TestErbenchErrors(t *testing.T) {
 // Every advertised experiment id has a runner, and every runner succeeds
 // on a minimal corpus.
 func TestErbenchRunnersComplete(t *testing.T) {
-	corpus := exp.BuildCorpus(exp.Config{
+	corpus, err := exp.BuildCorpusCtx(context.Background(), exp.Config{
 		Seed:     1,
 		Scale:    0.02,
 		Datasets: []string{"D1", "D2"},
 		BAHSteps: 500,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	runners := experimentRunners(corpus)
 	for _, id := range experimentOrder {
 		runner, ok := runners[id]

@@ -40,14 +40,6 @@ func TokenBlocking(c1, c2 *dataset.Collection) []Block {
 	})
 }
 
-// AttributeBlocking builds one block per distinct token of the given
-// attribute (schema-based standard blocking).
-func AttributeBlocking(c1, c2 *dataset.Collection, attr string) []Block {
-	return keyBlocks(c1, c2, func(p dataset.Profile) []string {
-		return strsim.Tokenize(p.Get(attr))
-	})
-}
-
 // keyBlocks indexes both collections by the keys function and keeps the
 // blocks with entities on both sides, sorted by key for determinism.
 func keyBlocks(c1, c2 *dataset.Collection, keys func(dataset.Profile) []string) []Block {
@@ -203,42 +195,6 @@ func Candidates(blocks []Block) [][2]int32 {
 					out = append(out, [2]int32{u, v})
 				}
 			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// MetaBlocking applies comparison-level weighting-and-pruning: every
-// candidate pair is weighted by CBS (the number of blocks it co-occurs
-// in) and pairs below the average weight are pruned — the WEP scheme of
-// the meta-blocking literature.
-func MetaBlocking(blocks []Block) [][2]int32 {
-	cbs := map[int64]int{}
-	for _, b := range blocks {
-		for _, u := range b.V1 {
-			for _, v := range b.V2 {
-				cbs[int64(u)<<32|int64(uint32(v))]++
-			}
-		}
-	}
-	if len(cbs) == 0 {
-		return nil
-	}
-	total := 0
-	for _, c := range cbs {
-		total += c
-	}
-	avg := float64(total) / float64(len(cbs))
-	var out [][2]int32
-	for k, c := range cbs {
-		if float64(c) >= avg {
-			out = append(out, [2]int32{int32(k >> 32), int32(uint32(k))})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/ccer-go/ccer/internal/datagen"
 	"github.com/ccer-go/ccer/internal/dataset"
+	"github.com/ccer-go/ccer/internal/strsim"
 )
 
 func testCollections() (*dataset.Collection, *dataset.Collection) {
@@ -51,9 +52,17 @@ func TestTokenBlocking(t *testing.T) {
 	}
 }
 
+// attributeBlocks is standard blocking on one attribute's tokens,
+// through the keyBlocks engine that TokenBlocking runs on all of them.
+func attributeBlocks(c1, c2 *dataset.Collection, attr string) []Block {
+	return keyBlocks(c1, c2, func(p dataset.Profile) []string {
+		return strsim.Tokenize(p.Get(attr))
+	})
+}
+
 func TestAttributeBlocking(t *testing.T) {
 	c1, c2 := testCollections()
-	blocks := AttributeBlocking(c1, c2, "city")
+	blocks := attributeBlocks(c1, c2, "city")
 	keys := map[string]bool{}
 	for _, b := range blocks {
 		keys[b.Key] = true
@@ -123,25 +132,6 @@ func TestCandidatesDedup(t *testing.T) {
 	cands := Candidates(blocks)
 	if len(cands) != 2 {
 		t.Fatalf("candidates = %v, want 2 deduped pairs", cands)
-	}
-}
-
-func TestMetaBlocking(t *testing.T) {
-	// (0,0) co-occurs in two blocks, (1,0) in one: CBS prunes (1,0)
-	// (average weight is 1.5).
-	blocks := []Block{
-		{Key: "x", V1: []int32{0, 1}, V2: []int32{0}},
-		{Key: "y", V1: []int32{0}, V2: []int32{0}},
-	}
-	pruned := MetaBlocking(blocks)
-	if !hasPair(pruned, 0, 0) {
-		t.Fatal("meta-blocking pruned the strong pair")
-	}
-	if hasPair(pruned, 1, 0) {
-		t.Fatal("meta-blocking kept the weak pair")
-	}
-	if MetaBlocking(nil) != nil {
-		t.Fatal("empty input should give nil")
 	}
 }
 

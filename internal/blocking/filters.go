@@ -137,14 +137,6 @@ func (ix *TokenIndex) QueryIDs(tokens []string, dst []int32) []int32 {
 	return dst
 }
 
-// Candidates appends to dst, in ascending order, the indexed entities
-// whose token list intersects the query ids (from QueryIDs). bits must
-// be a zeroed bitset with at least Len() bits; it is cleared again
-// before returning.
-func (ix *TokenIndex) Candidates(queryIDs []int32, bits []uint64, dst []int32) []int32 {
-	return vector.UnionCandidates(queryIDs, ix.off, ix.post, bits, dst)
-}
-
 // CandidateBits marks in bits, without clearing them afterwards, the
 // indexed entities whose token list intersects the query ids, returning
 // the marked entities (unsorted, for the caller to clear). Row kernels

@@ -7,6 +7,7 @@ import (
 
 	"github.com/ccer-go/ccer/internal/dataset"
 	"github.com/ccer-go/ccer/internal/strsim"
+	"github.com/ccer-go/ccer/internal/vector"
 )
 
 // randText draws a short string over a split alphabet: even seeds use
@@ -111,7 +112,7 @@ func TestTokenIndexCandidates(t *testing.T) {
 	check := func(query []string, want []int32) {
 		t.Helper()
 		ids = ix.QueryIDs(query, ids)
-		dst = ix.Candidates(ids, bits, dst)
+		dst = vector.UnionCandidates(ids, ix.off, ix.post, bits, dst)
 		if len(dst) != len(want) {
 			t.Fatalf("Candidates(%v) = %v, want %v", query, dst, want)
 		}
@@ -172,8 +173,8 @@ func TestEmptyAttributeProfilesProduceNoBlocks(t *testing.T) {
 	}}
 	for _, blocks := range [][]Block{
 		TokenBlocking(c1, c2),
-		AttributeBlocking(c1, c2, "name"),
-		AttributeBlocking(c1, c2, "missing"),
+		attributeBlocks(c1, c2, "name"),
+		attributeBlocks(c1, c2, "missing"),
 	} {
 		for _, b := range blocks {
 			if b.Key == "" {

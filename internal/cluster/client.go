@@ -67,13 +67,12 @@ func (rp *Reply) retryAfter() time.Duration {
 // Retry-After always overrides the computed backoff (the server knows
 // its own recovery horizon better than our jitter does).
 //
-// Retry safety is per-call: reads (Ready, Metrics, GetGraph, Match —
-// deterministic and cached server-side, so re-running one is free)
-// retry on any transient failure; mutations (Generate, DeleteGraph)
-// retry a transport error only when the connection was refused outright,
-// meaning the request provably never reached a server. A mutation that
-// died mid-flight is surfaced, not re-sent — server-side singleflight
-// makes a duplicate generate cheap, but the caller decides.
+// Retry safety is per-call: idempotent calls (ListSync, EdgeList and
+// the conditional sync writes, which apply only what is newer) retry on
+// any transient failure; a non-idempotent request retries a transport
+// error only when the connection was refused outright, meaning the
+// request provably never reached a server. A mutation that died
+// mid-flight is surfaced, not re-sent.
 type Client struct {
 	// Base is the server's base URL, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -239,70 +238,6 @@ func decode(reply *Reply, out any) error {
 	return json.Unmarshal(reply.Body, out)
 }
 
-// GraphInfo mirrors erserve's graph metadata JSON.
-type GraphInfo struct {
-	Name           string  `json:"name"`
-	Version        int64   `json:"version"`
-	Checksum       string  `json:"checksum"`
-	N1             int     `json:"n1"`
-	N2             int     `json:"n2"`
-	Edges          int     `json:"edges"`
-	Density        float64 `json:"density"`
-	HasGroundTruth bool    `json:"has_ground_truth"`
-	Source         string  `json:"source"`
-	Dataset        string  `json:"dataset,omitempty"`
-	Seed           int64   `json:"seed,omitempty"`
-	Scale          float64 `json:"scale,omitempty"`
-}
-
-// GenerateRequest mirrors the JSON mode of POST /v1/graphs.
-type GenerateRequest struct {
-	Name    string   `json:"name"`
-	Dataset string   `json:"dataset"`
-	Seed    int64    `json:"seed,omitempty"`
-	Scale   float64  `json:"scale,omitempty"`
-	Measure string   `json:"measure,omitempty"`
-	Family  string   `json:"family,omitempty"`
-	Attrs   []string `json:"attrs,omitempty"`
-	MinSim  float64  `json:"min_sim,omitempty"`
-}
-
-// MatchRequest mirrors the body of POST /v1/match.
-type MatchRequest struct {
-	Graph      string   `json:"graph"`
-	Algorithms []string `json:"algorithms,omitempty"`
-	Threshold  *float64 `json:"threshold,omitempty"`
-	Seed       int64    `json:"seed,omitempty"`
-}
-
-// MatchPair is one matched pair.
-type MatchPair struct {
-	U int32   `json:"u"`
-	V int32   `json:"v"`
-	W float64 `json:"w"`
-}
-
-// MatchResult is one algorithm's outcome within a match response.
-type MatchResult struct {
-	Algorithm string      `json:"algorithm"`
-	Cached    bool        `json:"cached"`
-	Pairs     []MatchPair `json:"pairs"`
-	Metrics   *struct {
-		Precision float64 `json:"precision"`
-		Recall    float64 `json:"recall"`
-		F1        float64 `json:"f1"`
-	} `json:"metrics,omitempty"`
-}
-
-// MatchResponse mirrors the body of a 200 from POST /v1/match.
-type MatchResponse struct {
-	Graph     string        `json:"graph"`
-	Version   int64         `json:"version"`
-	Threshold float64       `json:"threshold"`
-	Seed      int64         `json:"seed"`
-	Results   []MatchResult `json:"results"`
-}
-
 // SyncEntry is one name in a node's cheap sync listing: the
 // replica-comparison key (version + hex checksum) for a live graph, or
 // just the deletion version for a tombstone.
@@ -412,60 +347,4 @@ func (c *Client) Ready(ctx context.Context) error {
 		return apiError(reply)
 	}
 	return nil
-}
-
-// Generate creates a graph via the JSON mode of POST /v1/graphs.
-func (c *Client) Generate(ctx context.Context, req GenerateRequest) (*GraphInfo, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := c.do(ctx, http.MethodPost, "/v1/graphs", "application/json", body, false)
-	if err != nil {
-		return nil, err
-	}
-	var info GraphInfo
-	if err := decode(reply, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
-}
-
-// GetGraph fetches one graph's metadata.
-func (c *Client) GetGraph(ctx context.Context, name string) (*GraphInfo, error) {
-	reply, err := c.do(ctx, http.MethodGet, "/v1/graphs/"+name, "", nil, true)
-	if err != nil {
-		return nil, err
-	}
-	var info GraphInfo
-	if err := decode(reply, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
-}
-
-// DeleteGraph removes a graph.
-func (c *Client) DeleteGraph(ctx context.Context, name string) error {
-	reply, err := c.do(ctx, http.MethodDelete, "/v1/graphs/"+name, "", nil, false)
-	if err != nil {
-		return err
-	}
-	return decode(reply, nil)
-}
-
-// Match runs a synchronous match batch.
-func (c *Client) Match(ctx context.Context, req MatchRequest) (*MatchResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := c.do(ctx, http.MethodPost, "/v1/match", "application/json", body, true)
-	if err != nil {
-		return nil, err
-	}
-	var out MatchResponse
-	if err := decode(reply, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }

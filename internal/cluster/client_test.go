@@ -37,37 +37,39 @@ func (f *flakyBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.ok(w, r)
 }
 
-func okMatch(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write([]byte(`{"graph":"g","version":1,"threshold":0.5,"seed":1,"results":[]}`))
+const edgeList = "1 1\n0 0 1\n"
+
+func okEdgeList(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = w.Write([]byte(edgeList))
 }
 
 // TestClientRetriesReadOn5xx: a read retries raw 5xx under backoff and
 // succeeds once the backend recovers.
 func TestClientRetriesReadOn5xx(t *testing.T) {
-	fb := &flakyBackend{failStatus: http.StatusInternalServerError, ok: okMatch}
+	fb := &flakyBackend{failStatus: http.StatusInternalServerError, ok: okEdgeList}
 	fb.fails.Store(2)
 	ts := httptest.NewServer(fb)
 	defer ts.Close()
 	c := &cluster.Client{Base: ts.URL, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond}
-	resp, err := c.Match(context.Background(), cluster.MatchRequest{Graph: "g"})
+	got, err := c.EdgeList(context.Background(), "g")
 	if err != nil {
-		t.Fatalf("match after transient 500s: %v", err)
+		t.Fatalf("edge list after transient 500s: %v", err)
 	}
-	if resp.Graph != "g" || fb.hits.Load() != 3 {
-		t.Fatalf("resp %+v after %d hits, want success on 3rd", resp, fb.hits.Load())
+	if string(got) != edgeList || fb.hits.Load() != 3 {
+		t.Fatalf("body %q after %d hits, want success on 3rd", got, fb.hits.Load())
 	}
 }
 
-// TestClientDoesNotRetryMutationOn5xx: a generate that died mid-flight
+// TestClientDoesNotRetryMutationOn5xx: a mutation that died mid-flight
 // (raw 500) is surfaced, not re-sent.
 func TestClientDoesNotRetryMutationOn5xx(t *testing.T) {
-	fb := &flakyBackend{failStatus: http.StatusInternalServerError, ok: okMatch}
+	fb := &flakyBackend{failStatus: http.StatusInternalServerError, ok: okEdgeList}
 	fb.fails.Store(1)
 	ts := httptest.NewServer(fb)
 	defer ts.Close()
 	c := &cluster.Client{Base: ts.URL, RetryBase: time.Millisecond}
-	_, err := c.Generate(context.Background(), cluster.GenerateRequest{Name: "g", Dataset: "D2"})
+	err := c.Mutate(context.Background(), "/v1/graphs", []byte(`{"name":"g","dataset":"D2"}`))
 	var apiErr *cluster.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
 		t.Fatalf("err = %v, want APIError 500", err)
@@ -89,12 +91,11 @@ func TestClientRetriesMutationOnShed(t *testing.T) {
 	ts := httptest.NewServer(fb)
 	defer ts.Close()
 	c := &cluster.Client{Base: ts.URL, RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond}
-	info, err := c.Generate(context.Background(), cluster.GenerateRequest{Name: "g", Dataset: "D2"})
-	if err != nil {
+	if err := c.Mutate(context.Background(), "/v1/graphs", []byte(`{"name":"g","dataset":"D2"}`)); err != nil {
 		t.Fatalf("generate after sheds: %v", err)
 	}
-	if info.Name != "g" || fb.hits.Load() != 3 {
-		t.Fatalf("info %+v after %d hits", info, fb.hits.Load())
+	if fb.hits.Load() != 3 {
+		t.Fatalf("generate succeeded after %d hits, want 3", fb.hits.Load())
 	}
 }
 
@@ -103,7 +104,7 @@ func TestClientRetriesMutationOnShed(t *testing.T) {
 // call gives up at its deadline instead of hammering sooner with
 // computed backoff. The parsed hint must surface on the error.
 func TestClientHonorsRetryAfterWithinDeadline(t *testing.T) {
-	fb := &flakyBackend{failStatus: http.StatusServiceUnavailable, retryAfter: "1", ok: okMatch}
+	fb := &flakyBackend{failStatus: http.StatusServiceUnavailable, retryAfter: "1", ok: okEdgeList}
 	fb.fails.Store(100)
 	ts := httptest.NewServer(fb)
 	defer ts.Close()
@@ -111,7 +112,7 @@ func TestClientHonorsRetryAfterWithinDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Match(ctx, cluster.MatchRequest{Graph: "g"})
+	_, err := c.EdgeList(ctx, "g")
 	elapsed := time.Since(start)
 	var apiErr *cluster.APIError
 	if !errors.As(err, &apiErr) {
@@ -135,14 +136,14 @@ func TestClientHonorsRetryAfterWithinDeadline(t *testing.T) {
 // recovery path.
 func TestClientRetriesConnRefused(t *testing.T) {
 	// Reserve an address with nothing listening.
-	ts := httptest.NewServer(http.HandlerFunc(okMatch))
+	ts := httptest.NewServer(http.HandlerFunc(okEdgeList))
 	base := ts.URL
 	ts.Close()
 	c := &cluster.Client{Base: base, MaxRetries: 2, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Generate(ctx, cluster.GenerateRequest{Name: "g", Dataset: "D2"})
+	err := c.Mutate(ctx, "/v1/graphs", []byte(`{"name":"g","dataset":"D2"}`))
 	if err == nil {
 		t.Fatal("generate against a dead address succeeded")
 	}

@@ -69,40 +69,28 @@ func TestGraphNamesReachBackendsEscaped(t *testing.T) {
 			t.Fatalf("after %s the backend holds %v, want %v", step, got, want)
 		}
 	}
-	named := func(step string, raw []byte, field, name string) {
-		t.Helper()
-		var body map[string]any
-		if err := json.Unmarshal(raw, &body); err != nil || body[field] != name {
-			t.Fatalf("%s: reply %s, want %s %q", step, raw, field, name)
-		}
-	}
-
 	for _, name := range []string{"a?x", "a#b", "a%2Fb", "a&sync_version=7", "50%", "a b", "corp/x/y"} {
-		graphURL := tc.front.URL + "/v1/graphs/" + url.PathEscape(name)
-
-		status, raw := send(t, http.MethodPost, tc.front.URL+"/v1/graphs?name="+url.QueryEscape(name), "text/plain", edges)
-		if status != http.StatusCreated {
-			t.Fatalf("upload %q: status %d (%s)", name, status, raw)
+		// call sends one request through the router and requires the
+		// status and, in the JSON reply's field, the name itself.
+		call := func(method, target, contentType string, body []byte, status int, field string) []byte {
+			t.Helper()
+			got, raw := send(t, method, tc.front.URL+target, contentType, body)
+			var reply map[string]any
+			if got != status || field != "" && (json.Unmarshal(raw, &reply) != nil || reply[field] != name) {
+				t.Fatalf("%s %s: status %d, reply %s; want %d with %s %q", method, target, got, raw, status, field, name)
+			}
+			return raw
 		}
-		named("upload "+name, raw, "name", name)
+		graphPath := "/v1/graphs/" + url.PathEscape(name)
+		call(http.MethodPost, "/v1/graphs?name="+url.QueryEscape(name), "text/plain", edges, http.StatusCreated, "name")
 		want[name] = 1
 		check("upload " + name)
-
-		status, raw = send(t, http.MethodGet, graphURL, "", nil)
-		if status != http.StatusOK {
-			t.Fatalf("read %q: status %d (%s)", name, status, raw)
+		call(http.MethodGet, graphPath, "", nil, http.StatusOK, "name")
+		if raw := call(http.MethodGet, graphPath+"?format=edgelist", "", nil, http.StatusOK, ""); !bytes.Equal(raw, edges) {
+			t.Fatalf("edge list of %q through the router: %q", name, raw)
 		}
-		named("read "+name, raw, "name", name)
-		if status, raw = send(t, http.MethodGet, graphURL+"?format=edgelist", "", nil); status != http.StatusOK || !bytes.Equal(raw, edges) {
-			t.Fatalf("edge list of %q through the router: status %d, %q", name, status, raw)
-		}
-
 		match, _ := json.Marshal(map[string]any{"graph": name, "algorithms": []string{"UMC"}, "threshold": 0.1})
-		status, raw = send(t, http.MethodPost, tc.front.URL+"/v1/match", "application/json", match)
-		if status != http.StatusOK {
-			t.Fatalf("match %q: status %d (%s)", name, status, raw)
-		}
-		named("match "+name, raw, "graph", name)
+		call(http.MethodPost, "/v1/match", "application/json", match, http.StatusOK, "graph")
 
 		el, err := backend.EdgeList(ctx, name)
 		if err != nil || !bytes.Equal(el, edges) {
@@ -113,15 +101,9 @@ func TestGraphNamesReachBackendsEscaped(t *testing.T) {
 		}
 		want[name] = 5
 		check("sync put " + name)
-
-		status, raw = send(t, http.MethodDelete, graphURL, "", nil)
-		if status != http.StatusOK {
-			t.Fatalf("delete %q: status %d (%s)", name, status, raw)
-		}
-		named("delete "+name, raw, "deleted", name)
+		call(http.MethodDelete, graphPath, "", nil, http.StatusOK, "deleted")
 		delete(want, name)
 		check("delete " + name)
-
 		if applied, err := backend.SyncPutEdgeList(ctx, name, 9, el); !applied || err != nil {
 			t.Fatalf("SyncPutEdgeList(%q, 9) = %v, %v", name, applied, err)
 		}

@@ -145,7 +145,8 @@ func TotalWeight(pairs []Pair) float64 {
 
 // ValidateMatching checks that pairs form a valid 1-1 matching of g with
 // every pair weight strictly above t: no node is used twice, every pair is
-// an existing edge, and recorded weights agree with the graph.
+// an existing edge, and recorded weights agree with the graph. It is test
+// support: this package's tests and internal/rl's call it.
 func ValidateMatching(g *graph.Bipartite, pairs []Pair, t float64) error {
 	used1 := make(map[graph.NodeID]bool, len(pairs))
 	used2 := make(map[graph.NodeID]bool, len(pairs))
@@ -174,28 +175,12 @@ func ValidateMatching(g *graph.Bipartite, pairs []Pair, t float64) error {
 	return nil
 }
 
-// All returns one instance of each of the paper's eight algorithms with
-// their default configurations, in the paper's presentation order
-// (Table 1): CNC, RSR, RCA, BAH, BMC, EXC, KRC, UMC.
-//
-// BAH uses the given seed and its default step cap; BMC uses BasisAuto,
-// which tries both sides and keeps the heavier matching, mirroring the
-// paper's "examine both options and retain the best one".
-func All(bahSeed int64) []Matcher {
-	return []Matcher{
-		CNC{},
-		RSR{},
-		RCA{},
-		NewBAH(bahSeed),
-		BMC{Basis: BasisAuto},
-		EXC{},
-		KRC{},
-		UMC{},
-	}
-}
-
 // ByName returns the matcher with the given paper identifier, or nil.
 // Recognized names: CNC, RSR, RCA, BAH, BMC, EXC, KRC, UMC, HUN, AUC.
+// The paper's eight get their default configurations: BAH the given
+// seed and its default step cap, and BMC BasisAuto, which tries both
+// sides and keeps the heavier matching, mirroring the paper's "examine
+// both options and retain the best one".
 func ByName(name string, bahSeed int64) Matcher {
 	switch name {
 	case "CNC":

@@ -150,7 +150,7 @@ func TestExactBaselinesFigure1(t *testing.T) {
 func TestAllMatchersEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0, 0).MustBuild()
 	gOneSided := graph.NewBuilder(5, 0).MustBuild()
-	for _, m := range append(All(1), Hungarian{}, Auction{}) {
+	for _, m := range append(paperMatchers(1), Hungarian{}, Auction{}) {
 		if got := m.Match(g, 0.5); len(got) != 0 {
 			t.Fatalf("%s on empty graph: %v", m.Name(), got)
 		}
@@ -162,7 +162,7 @@ func TestAllMatchersEmptyGraph(t *testing.T) {
 
 func TestAllMatchersThresholdAboveMax(t *testing.T) {
 	g := figure1(t)
-	for _, m := range append(All(1), Hungarian{}, Auction{}) {
+	for _, m := range append(paperMatchers(1), Hungarian{}, Auction{}) {
 		if got := m.Match(g, 0.95); len(got) != 0 {
 			t.Fatalf("%s with t=0.95: %v", m.Name(), got)
 		}
@@ -174,7 +174,7 @@ func TestThresholdStrictlyGreater(t *testing.T) {
 	b := graph.NewBuilder(1, 1)
 	b.Add(0, 0, 0.5)
 	g := b.MustBuild()
-	for _, m := range append(All(1), Hungarian{}, Auction{}) {
+	for _, m := range append(paperMatchers(1), Hungarian{}, Auction{}) {
 		if got := m.Match(g, 0.5); len(got) != 0 {
 			t.Fatalf("%s matched an edge equal to t: %v", m.Name(), got)
 		}
@@ -224,9 +224,16 @@ func TestByNameAndNames(t *testing.T) {
 	if ByName("nope", 0) != nil {
 		t.Fatal("ByName accepted an unknown name")
 	}
-	if len(All(3)) != 8 {
-		t.Fatalf("All returned %d matchers, want 8", len(All(3)))
+}
+
+// paperMatchers returns the paper's eight matchers in Names order, as
+// ByName configures them.
+func paperMatchers(bahSeed int64) []Matcher {
+	ms := make([]Matcher, len(Names()))
+	for i, name := range Names() {
+		ms[i] = ByName(name, bahSeed)
 	}
+	return ms
 }
 
 func TestValidateMatchingRejects(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 // algorithms — CCER optimizes weighted quality, not size — but it bounds
 // how many pairs any 1-1 matcher can possibly emit, which the tests use
 // to check the maximality guarantees of UMC and KRC (every maximal
-// matching has at least half the maximum cardinality).
+// matching has at least half the maximum cardinality). It is a test
+// oracle, so it lives in the tests.
 type HopcroftKarp struct{}
 
 // Name implements Matcher.

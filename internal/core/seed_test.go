@@ -114,7 +114,7 @@ func adjList(a graph.Adjacency, x int32) ([]int32, []float64) {
 // it pair for pair.
 func seedCNC(g *graph.Bipartite, t float64) []Pair {
 	n1 := int32(g.N1())
-	n := g.NumNodes()
+	n := g.N1() + g.N2()
 	var pbuf, sbuf [512]int32
 	parent, size := scratch(pbuf[:], n), scratch(sbuf[:], n)
 	for i := range parent {
@@ -375,7 +375,13 @@ func (s *rsrState) clusterSize(x int32) int {
 // below the minimum weight (which prunes nothing), 0, and one above the
 // maximum weight (which prunes everything).
 func seedThresholds(g *graph.Bipartite) []float64 {
-	ts := []float64{g.MinWeight() - 0.5, 0, g.MaxWeight() + 0.5}
+	lo := 0.0 // the minimum weight; 0 for an edgeless graph
+	for i, e := range g.Edges() {
+		if i == 0 || e.W < lo {
+			lo = e.W
+		}
+	}
+	ts := []float64{lo - 0.5, 0, g.MaxWeight() + 0.5}
 	for _, e := range g.Edges() {
 		ts = append(ts, e.W)
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// matchTiesPin is the FNV-1a checksum of every pair that All(1) and
+// matchTiesPin is the FNV-1a checksum of every pair that paperMatchers(1) and
 // HopcroftKarp return on the quantizedCases graphs at every
 // seedThresholds point: 486 (graph, threshold) points, 4,374 calls.
 const matchTiesPin = 0x97e787e4b2fbd425
@@ -18,7 +18,7 @@ const matchTiesPin = 0x97e787e4b2fbd425
 // The encoding is TestMatchersColdPin's: per call and algorithm, the
 // name, the pair count and the pairs (U, V and the bits of W).
 func TestMatchersTiesPin(t *testing.T) {
-	ms := append(All(1), HopcroftKarp{})
+	ms := append(paperMatchers(1), HopcroftKarp{})
 	h := fnv.New64a()
 	var buf [16]byte
 	for _, tc := range quantizedCases {

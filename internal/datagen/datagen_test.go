@@ -215,14 +215,14 @@ func TestDomainGenerators(t *testing.T) {
 	for _, d := range []Domain{Restaurants, Products, Bibliographic, Movies} {
 		attrs := d.generate(rng, 123)
 		if len(attrs) < 4 {
-			t.Fatalf("%s: only %d attributes", d, len(attrs))
+			t.Fatalf("domain %d: only %d attributes", d, len(attrs))
 		}
 		if u := d.uniqueAttr(); attrs[u] == "" {
-			t.Fatalf("%s: unique attribute %q empty", d, u)
+			t.Fatalf("domain %d: unique attribute %q empty", d, u)
 		}
 		for k, v := range attrs {
 			if v == "" {
-				t.Fatalf("%s: empty value for %q", d, k)
+				t.Fatalf("domain %d: empty value for %q", d, k)
 			}
 		}
 	}
@@ -235,7 +235,7 @@ func TestUniqueAttrDistinguishesEntities(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			v := d.generate(rng, i)[d.uniqueAttr()]
 			if seen[v] {
-				t.Fatalf("%s: unique attribute collided at %d: %q", d, i, v)
+				t.Fatalf("domain %d: unique attribute collided at %d: %q", d, i, v)
 			}
 			seen[v] = true
 		}

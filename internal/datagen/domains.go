@@ -22,22 +22,6 @@ const (
 	Movies
 )
 
-// String returns the domain name.
-func (d Domain) String() string {
-	switch d {
-	case Restaurants:
-		return "restaurants"
-	case Products:
-		return "products"
-	case Bibliographic:
-		return "bibliographic"
-	case Movies:
-		return "movies"
-	default:
-		return fmt.Sprintf("domain(%d)", int(d))
-	}
-}
-
 func pick(rng *rand.Rand, pool []string) string { return pool[rng.Intn(len(pool))] }
 
 // base36 renders idx compactly; embedded into a uniqueness-bearing

@@ -711,7 +711,10 @@ func (l *Log) removeStrayTmp() {
 
 // Compact writes a fresh manifest of the committed state, rolls the
 // journal to a new segment, and garbage-collects segments and content
-// files the manifest no longer references.
+// files the manifest no longer references. The store compacts on its
+// own (the background compactor and Close); Compact is test support, so
+// the tests of this package and of internal/durable/crashtest can
+// compact at a chosen point of a workload.
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

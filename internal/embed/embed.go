@@ -1,9 +1,10 @@
 // Package embed provides deterministic synthetic stand-ins for the
 // pre-trained semantic representation models the paper uses — fastText
 // (character-level pre-trained embeddings) and ALBERT (transformer-based
-// contextual embeddings) — plus the three semantic similarity measures it
-// applies to them: cosine, Euclidean and (relaxed) Word Mover's
-// similarity.
+// contextual embeddings) — and the names of the three semantic
+// similarity measures it applies to them: cosine, Euclidean and (relaxed)
+// Word Mover's similarity. CosineEuclidean computes the first two;
+// internal/simgraph computes the third from the models' token vectors.
 //
 // The substitution, recorded in DESIGN.md, keeps the code paths and the
 // behavioural properties that drive the paper's findings:
@@ -34,9 +35,6 @@ import (
 type Model interface {
 	// Name identifies the model, e.g. "fasttext" or "albert".
 	Name() string
-	// Embed returns the dense vector of the text. Empty text yields a
-	// zero vector.
-	Embed(text string) []float64
 	// Dim returns the vector dimensionality.
 	Dim() int
 	// TokenVectors returns per-token vectors with TF weights, used by
@@ -238,17 +236,11 @@ func (m FastTextLike) TokenVectorsTokens(tokens []string) ([][]float64, []float6
 	return vecs, ws
 }
 
-// Embed implements Model.
-func (m FastTextLike) Embed(text string) []float64 {
-	vecs, ws := m.TokenVectors(text)
-	return EmbedTokens(m.Dim(), vecs, ws)
-}
-
 // EmbedTokens combines per-token vectors into the model's text
-// embedding: the normalized weighted sum. It is exactly the reduction
-// both models' Embed applies, exposed so callers that already hold the
-// token vectors (e.g. for Word Mover's similarity) can derive the text
-// embedding without recomputing them.
+// embedding: the normalized weighted sum, the same reduction for both
+// models. Callers derive it from the token vectors they already hold
+// for Word Mover's similarity, so a text's tokens are embedded once.
+// Empty text (no vectors) yields a zero vector.
 func EmbedTokens(dim int, vecs [][]float64, ws []float64) []float64 {
 	out := make([]float64, dim)
 	for i, v := range vecs {
@@ -362,43 +354,8 @@ func (m ContextualLike) TokenVectorsTokens(tokens []string) ([][]float64, []floa
 	return vecs, ws
 }
 
-// Embed implements Model.
-func (m ContextualLike) Embed(text string) []float64 {
-	vecs, ws := m.TokenVectors(text)
-	return EmbedTokens(m.Dim(), vecs, ws)
-}
-
-// CosineSim returns the cosine similarity of two embeddings mapped to
-// [0,1] via (1+cos)/2, so downstream graph weights satisfy the paper's
-// [0,1] assumption even before min-max normalization. Zero vectors yield
-// 0.
-func CosineSim(a, b []float64) float64 {
-	dot, na, nb := 0.0, 0.0, 0.0
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return (1 + dot/math.Sqrt(na*nb)) / 2
-}
-
-// EuclideanSim returns 1/(1+d) for the Euclidean distance d, as defined
-// in the paper's Appendix.
-func EuclideanSim(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return 1 / (1 + math.Sqrt(s))
-}
-
-// NormSq returns Σ v[i]², accumulated in index order — exactly the
-// self-product sum CosineSim folds per call, exposed so pairwise loops
-// can precompute it per entity.
+// NormSq returns Σ v[i]², accumulated in index order, so pairwise
+// loops can precompute each entity's squared norm for CosineEuclidean.
 func NormSq(v []float64) float64 {
 	s := 0.0
 	for i := range v {
@@ -407,10 +364,15 @@ func NormSq(v []float64) float64 {
 	return s
 }
 
-// CosineEuclidean returns CosineSim and EuclideanSim of a and b in one
-// pass over the dimensions, given the entities' precomputed squared
-// norms. Values are bit-identical to the standalone functions: the
-// unroll accumulates both sums in plain index order.
+// CosineEuclidean returns the cosine and Euclidean similarities of two
+// embeddings in one pass over the dimensions, given their precomputed
+// squared norms (NormSq). Cosine is mapped to [0,1] via (1+cos)/2, so
+// graph weights satisfy the paper's [0,1] assumption even before
+// min-max normalization, and is 0 when either vector is zero; Euclidean
+// is 1/(1+d) for the distance d, as the paper's Appendix defines it.
+// The unroll accumulates both sums in plain index order, so the values
+// are bit-identical to the one-measure scalar loops that this package's
+// tests keep as references.
 func CosineEuclidean(a, b []float64, na, nb float64) (cos, euc float64) {
 	b = b[:len(a)]
 	dot, sq := 0.0, 0.0
@@ -434,39 +396,6 @@ func CosineEuclidean(a, b []float64, na, nb float64) (cos, euc float64) {
 	return cos, 1 / (1 + math.Sqrt(sq))
 }
 
-// WordMoversSim returns 1/(1+rwmd), where rwmd is the relaxed Word
-// Mover's distance: the maximum of the two directional greedy transport
-// costs (each token's mass moves to its nearest counterpart), a standard
-// lower bound of the exact WMD that preserves its ordering behaviour.
-func WordMoversSim(m Model, textA, textB string) float64 {
-	va, wa := m.TokenVectors(textA)
-	vb, wb := m.TokenVectors(textB)
-	if len(va) == 0 || len(vb) == 0 {
-		return 0
-	}
-	d := math.Max(directionalWMD(va, wa, vb), directionalWMD(vb, wb, va))
-	return 1 / (1 + d)
-}
-
-func directionalWMD(from [][]float64, w []float64, to [][]float64) float64 {
-	total := 0.0
-	for i, v := range from {
-		best := math.Inf(1)
-		for _, u := range to {
-			s := 0.0
-			for k := range v {
-				dd := v[k] - u[k]
-				s += dd * dd
-			}
-			if s < best {
-				best = s
-			}
-		}
-		total += w[i] * math.Sqrt(best)
-	}
-	return total
-}
-
 // Measure names for the semantic similarities (Appendix B, category 4).
 const (
 	MeasureCosine     = "Cosine"
@@ -479,36 +408,16 @@ func Measures() []string {
 	return []string{MeasureCosine, MeasureEuclidean, MeasureWordMovers}
 }
 
-// Models returns the two semantic representation models the paper uses.
-func Models() []Model {
-	return []Model{FastTextLike{}, ContextualLike{}}
-}
-
-// CachedModels is Models with fresh token-vector (and gram-/token-
-// component) caches attached to each model. Embeddings are unchanged
-// (the models are pure); repeated tokens across a collection are hashed
-// once instead of per entity, and distinct tokens share their hashed
-// n-gram windows. The caches live as long as the returned models, so
+// CachedModels returns the two semantic representation models the
+// paper uses, each with fresh token-vector (and gram-/token-component)
+// caches attached. Embeddings are unchanged (the models are pure);
+// repeated tokens across a collection are hashed once instead of per
+// entity, and distinct tokens share their hashed n-gram windows. The caches live as long as the returned models, so
 // callers should scope them to one corpus build (or hold them in an
 // embed.RepCache for cross-build reuse).
 func CachedModels() []Model {
 	return []Model{
 		FastTextLike{Cache: NewVecCache(), GramCache: NewVecCache()},
 		ContextualLike{Cache: NewVecCache(), TokenCache: NewVecCache()},
-	}
-}
-
-// Sim computes the named semantic measure between two texts under the
-// model. It panics on an unknown measure name.
-func Sim(m Model, measure, textA, textB string) float64 {
-	switch measure {
-	case MeasureCosine:
-		return CosineSim(m.Embed(textA), m.Embed(textB))
-	case MeasureEuclidean:
-		return EuclideanSim(m.Embed(textA), m.Embed(textB))
-	case MeasureWordMovers:
-		return WordMoversSim(m, textA, textB)
-	default:
-		panic("embed: unknown measure " + measure)
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 func TestDeterminism(t *testing.T) {
 	for _, m := range Models() {
-		a := m.Embed("entity resolution with graphs")
-		b := m.Embed("entity resolution with graphs")
+		a := embedText(m, "entity resolution with graphs")
+		b := embedText(m, "entity resolution with graphs")
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: embedding not deterministic at dim %d", m.Name(), i)
@@ -35,7 +35,7 @@ func TestDimensions(t *testing.T) {
 		t.Fatalf("custom dim = %d, want 32", d)
 	}
 	for _, m := range Models() {
-		if got := len(m.Embed("hello world")); got != m.Dim() {
+		if got := len(embedText(m, "hello world")); got != m.Dim() {
 			t.Fatalf("%s: vector len %d != Dim %d", m.Name(), got, m.Dim())
 		}
 	}
@@ -43,7 +43,7 @@ func TestDimensions(t *testing.T) {
 
 func TestEmptyText(t *testing.T) {
 	for _, m := range Models() {
-		v := m.Embed("")
+		v := embedText(m, "")
 		for _, x := range v {
 			if x != 0 {
 				t.Fatalf("%s: empty text embedding is non-zero", m.Name())
@@ -53,10 +53,8 @@ func TestEmptyText(t *testing.T) {
 		if vecs != nil || ws != nil {
 			t.Fatalf("%s: empty text produced token vectors", m.Name())
 		}
-		for _, meas := range Measures() {
-			if s := Sim(m, meas, "", "something"); s != 0 && meas != MeasureEuclidean {
-				t.Fatalf("%s/%s with empty text = %v, want 0", m.Name(), meas, s)
-			}
+		if s := sim(m, MeasureCosine, "", "something"); s != 0 {
+			t.Fatalf("%s/Cosine with empty text = %v, want 0", m.Name(), s)
 		}
 	}
 }
@@ -68,9 +66,9 @@ func TestIdenticalTextsScoreHighest(t *testing.T) {
 		"introduction to database systems",
 	}
 	for _, m := range Models() {
-		for _, meas := range Measures() {
+		for _, meas := range embedMeasures {
 			for _, a := range texts {
-				self := Sim(m, meas, a, a)
+				self := sim(m, meas, a, a)
 				if math.Abs(self-1) > 1e-9 {
 					t.Fatalf("%s/%s self-sim(%q) = %v, want 1", m.Name(), meas, a, self)
 				}
@@ -78,7 +76,7 @@ func TestIdenticalTextsScoreHighest(t *testing.T) {
 					if a == b {
 						continue
 					}
-					if s := Sim(m, meas, a, b); s >= self {
+					if s := sim(m, meas, a, b); s >= self {
 						t.Fatalf("%s/%s: cross sim %v >= self sim %v", m.Name(), meas, s, self)
 					}
 				}
@@ -91,9 +89,9 @@ func TestIdenticalTextsScoreHighest(t *testing.T) {
 // under the char-n-gram model (fastText's core property).
 func TestFastTextMorphologicalCloseness(t *testing.T) {
 	m := FastTextLike{}
-	base := m.Embed("resolution")
-	typo := m.Embed("resoluton")
-	other := m.Embed("zebra")
+	base := embedText(m, "resolution")
+	typo := embedText(m, "resoluton")
+	other := embedText(m, "zebra")
 	if CosineSim(base, typo) <= CosineSim(base, other) {
 		t.Fatalf("typo sim %v <= unrelated sim %v",
 			CosineSim(base, typo), CosineSim(base, other))
@@ -104,8 +102,8 @@ func TestFastTextMorphologicalCloseness(t *testing.T) {
 // different contexts.
 func TestContextualHomonyms(t *testing.T) {
 	m := ContextualLike{}
-	river := m.Embed("river bank water")
-	money := m.Embed("money bank account")
+	river := embedText(m, "river bank water")
+	money := embedText(m, "money bank account")
 	if CosineSim(river, money) >= 1-1e-9 {
 		t.Fatal("contextual model ignored context")
 	}
@@ -123,7 +121,7 @@ func TestContextualBiasInflatesSimilarity(t *testing.T) {
 		s, n := 0.0, 0
 		for i := range texts {
 			for j := i + 1; j < len(texts); j++ {
-				s += CosineSim(m.Embed(texts[i]), m.Embed(texts[j]))
+				s += CosineSim(embedText(m, texts[i]), embedText(m, texts[j]))
 				n++
 			}
 		}
@@ -135,18 +133,6 @@ func TestContextualBiasInflatesSimilarity(t *testing.T) {
 	}
 	if al < 0.6 {
 		t.Fatalf("contextual avg sim %v, want inflated (>= 0.6)", al)
-	}
-}
-
-func TestWordMoversOrdering(t *testing.T) {
-	m := FastTextLike{}
-	near := WordMoversSim(m, "green apple pie", "green apple tart")
-	far := WordMoversSim(m, "green apple pie", "quantum flux generator")
-	if near <= far {
-		t.Fatalf("WMS near %v <= far %v", near, far)
-	}
-	if self := WordMoversSim(m, "a b c", "a b c"); math.Abs(self-1) > 1e-9 {
-		t.Fatalf("WMS self = %v, want 1", self)
 	}
 }
 
@@ -165,13 +151,13 @@ func TestPropertySemanticRange(t *testing.T) {
 		}
 		a, b := gen(), gen()
 		for _, m := range Models() {
-			for _, meas := range Measures() {
-				s := Sim(m, meas, a, b)
+			for _, meas := range embedMeasures {
+				s := sim(m, meas, a, b)
 				if s < 0 || s > 1+1e-9 || math.IsNaN(s) {
 					return false
 				}
 				// Symmetry.
-				if math.Abs(s-Sim(m, meas, b, a)) > 1e-9 {
+				if math.Abs(s-sim(m, meas, b, a)) > 1e-9 {
 					return false
 				}
 			}
@@ -194,16 +180,16 @@ func TestCachedModelsBitIdentical(t *testing.T) {
 	cached := CachedModels()
 	for k := range plain {
 		for _, text := range texts {
-			a := plain[k].Embed(text)
-			b := cached[k].Embed(text)
-			b2 := cached[k].Embed(text) // second call served from the cache
+			a := embedText(plain[k], text)
+			b := embedText(cached[k], text)
+			b2 := embedText(cached[k], text) // second call served from the cache
 			if len(a) != len(b) || len(a) != len(b2) {
 				t.Fatalf("%s: dimension mismatch", plain[k].Name())
 			}
 			for i := range a {
 				if math.Float64bits(a[i]) != math.Float64bits(b[i]) ||
 					math.Float64bits(a[i]) != math.Float64bits(b2[i]) {
-					t.Fatalf("%s: Embed(%q)[%d] differs with cache", plain[k].Name(), text, i)
+					t.Fatalf("%s: embedding of %q differs with cache at dim %d", plain[k].Name(), text, i)
 				}
 			}
 			va, wa := plain[k].TokenVectors(text)
@@ -216,22 +202,6 @@ func TestCachedModelsBitIdentical(t *testing.T) {
 					if math.Float64bits(va[i][d]) != math.Float64bits(vb[i][d]) {
 						t.Fatalf("%s: token vector %d of %q differs with cache", plain[k].Name(), i, text)
 					}
-				}
-			}
-		}
-	}
-}
-
-// EmbedTokens must reproduce Embed exactly from the token vectors.
-func TestEmbedTokensMatchesEmbed(t *testing.T) {
-	for _, m := range Models() {
-		for _, text := range []string{"", "one", "alpha beta gamma alpha"} {
-			vecs, ws := m.TokenVectors(text)
-			got := EmbedTokens(m.Dim(), vecs, ws)
-			want := m.Embed(text)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: EmbedTokens(%q)[%d] = %v, Embed %v", m.Name(), text, i, got[i], want[i])
 				}
 			}
 		}
@@ -260,10 +230,10 @@ func TestCosineEuclideanFused(t *testing.T) {
 		for _, sc := range scopes {
 			bs := make([][]float64, len(sc[1]))
 			for j, tb := range sc[1] {
-				bs[j] = m.Embed(tb)
+				bs[j] = embedText(m, tb)
 			}
 			for _, ta := range sc[0] {
-				a := m.Embed(ta)
+				a := embedText(m, ta)
 				for j, b := range bs {
 					cos, euc := CosineEuclidean(a, b, NormSq(a), NormSq(b))
 					if math.Float64bits(cos) != math.Float64bits(CosineSim(a, b)) {
@@ -280,7 +250,7 @@ func TestCosineEuclideanFused(t *testing.T) {
 
 // TestBuildRepsMatchesPerEntityCalls pins BuildReps (with and without
 // shared tokenization, with and without a RepCache) against per-entity
-// Embed/TokenVectors.
+// embedText/TokenVectors.
 func TestBuildRepsMatchesPerEntityCalls(t *testing.T) {
 	texts := []string{"golden dragon bistro", "", "a", "harbor grill house", "!!!", "café 日本"}
 	const maxTokens = 2
@@ -291,7 +261,7 @@ func TestBuildRepsMatchesPerEntityCalls(t *testing.T) {
 			tw  [][]float64
 		}{}
 		for _, txt := range texts {
-			want.emb = append(want.emb, m.Embed(txt))
+			want.emb = append(want.emb, embedText(m, txt))
 			v, w := m.TokenVectors(txt)
 			if len(v) > maxTokens {
 				v, w = v[:maxTokens], w[:maxTokens]

@@ -174,12 +174,6 @@ func SweepOpts(g *graph.Bipartite, gt *dataset.GroundTruth, m core.Matcher, opts
 	return selectBest(m.Name(), points)
 }
 
-// SweepAll tunes every matcher on the graph serially and returns results
-// in matcher order.
-func SweepAll(g *graph.Bipartite, gt *dataset.GroundTruth, matchers []core.Matcher, repeats int) []SweepResult {
-	return SweepAllOpts(g, gt, matchers, SweepOptions{Repeats: repeats, Parallelism: 1})
-}
-
 // SweepAllOpts tunes every matcher on the graph, fanning the full
 // (matcher × threshold) grid over opts.Parallelism workers. Results come
 // back in matcher order with points in threshold order, identical to the

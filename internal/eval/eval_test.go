@@ -134,7 +134,7 @@ func TestSweepSelectsLargestBestThreshold(t *testing.T) {
 func TestSweepAll(t *testing.T) {
 	g, gt := sweepFixture(t)
 	matchers := []core.Matcher{core.UMC{}, core.CNC{}, core.EXC{}}
-	results := SweepAll(g, gt, matchers, 1)
+	results := SweepAllOpts(g, gt, matchers, SweepOptions{Repeats: 1, Parallelism: 1})
 	if len(results) != 3 {
 		t.Fatalf("results: %d", len(results))
 	}

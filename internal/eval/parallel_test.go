@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/ccer-go/ccer/internal/algo"
 	"github.com/ccer-go/ccer/internal/core"
 	"github.com/ccer-go/ccer/internal/dataset"
 	"github.com/ccer-go/ccer/internal/graph"
@@ -87,7 +88,10 @@ func TestSweepOptsParallelMatchesSerial(t *testing.T) {
 // grid serial vs parallel at a fixed seed.
 func TestSweepAllOptsParallelMatchesSerial(t *testing.T) {
 	g, gt := randomSweepInput(t, 23)
-	matchers := core.All(42)
+	matchers, err := algo.AllByName(core.Names(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	serial := SweepAllOpts(g, gt, matchers, SweepOptions{Parallelism: 1})
 	for _, workers := range []int{2, 8, 0} {
 		parallel := SweepAllOpts(g, gt, matchers, SweepOptions{Parallelism: workers})
@@ -120,15 +124,12 @@ func TestSweepOptsStop(t *testing.T) {
 	}
 }
 
-// TestSweepDefaultsDelegate pins that the legacy entry points are the
-// serial special case of the options-based ones.
+// TestSweepDefaultsDelegate pins that Sweep is the serial special case
+// of SweepOpts.
 func TestSweepDefaultsDelegate(t *testing.T) {
 	g, gt := randomSweepInput(t, 5)
 	m := core.UMC{}
 	equalSweepResults(t,
 		[]SweepResult{Sweep(g, gt, m, 1)},
 		[]SweepResult{SweepOpts(g, gt, m, SweepOptions{Parallelism: 1})})
-	equalSweepResults(t,
-		SweepAll(g, gt, []core.Matcher{m}, 1),
-		SweepAllOpts(g, gt, []core.Matcher{m}, SweepOptions{Parallelism: 1}))
 }

@@ -140,21 +140,6 @@ type Corpus struct {
 // Algorithms returns the algorithm names in result order.
 func (c *Corpus) Algorithms() []string { return core.Names() }
 
-// BuildCorpus generates the datasets, the similarity graphs, and the
-// tuned results of every algorithm, then applies the paper's cleaning
-// rules: graphs whose best F1 across all algorithms is below 0.25 are
-// noisy, and near-identical graphs from the same dataset are duplicates.
-// It panics on unknown dataset ids (ids come from datagen.Specs or
-// validated config); use BuildCorpusCtx for error returns and
-// cancellation.
-func BuildCorpus(cfg Config) *Corpus {
-	corpus, err := BuildCorpusCtx(context.Background(), cfg)
-	if err != nil {
-		panic(err)
-	}
-	return corpus
-}
-
 // sweepUnit is one (graph × algorithm) cell of the experiment grid.
 type sweepUnit struct {
 	graphIdx, matcherIdx int
@@ -162,9 +147,13 @@ type sweepUnit struct {
 	gt                   *dataset.GroundTruth
 }
 
-// BuildCorpusCtx is BuildCorpus with cancellation: it fans the
-// (graph × algorithm) sweep grid out over cfg.Parallelism workers and
-// stops early (returning ctx.Err()) when the context is canceled.
+// BuildCorpusCtx generates the datasets, the similarity graphs, and the
+// tuned results of every algorithm, then applies the paper's cleaning
+// rules: graphs whose best F1 across all algorithms is below 0.25 are
+// noisy, and near-identical graphs from the same dataset are duplicates.
+// It fans the (graph × algorithm) sweep grid out over cfg.Parallelism
+// workers and stops early (returning ctx.Err()) when the context is
+// canceled; an unknown dataset id is an error.
 // Results are deterministic — graphs stay in generation order (datasets
 // in config order, similarity functions in taxonomy order) and each
 // graph's results stay in core.Names() order — and identical to the
@@ -319,15 +308,6 @@ func (c *Corpus) ByFamily() map[simgraph.Family][]GraphResult {
 	out := map[simgraph.Family][]GraphResult{}
 	for _, gr := range c.Graphs {
 		out[gr.Graph.Family] = append(out[gr.Graph.Family], gr)
-	}
-	return out
-}
-
-// ByDataset groups the corpus graphs by dataset id.
-func (c *Corpus) ByDataset() map[string][]GraphResult {
-	out := map[string][]GraphResult{}
-	for _, gr := range c.Graphs {
-		out[gr.Graph.Dataset] = append(out[gr.Graph.Dataset], gr)
 	}
 	return out
 }

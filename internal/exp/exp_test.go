@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 var (
 	corpusOnce sync.Once
 	testCorpus *Corpus
+	corpusErr  error
 )
 
 // sharedCorpus builds a small but complete corpus once for all tests:
@@ -17,7 +19,7 @@ var (
 func sharedCorpus(t *testing.T) *Corpus {
 	t.Helper()
 	corpusOnce.Do(func() {
-		testCorpus = BuildCorpus(Config{
+		testCorpus, corpusErr = BuildCorpusCtx(context.Background(), Config{
 			Seed:     42,
 			Scale:    0.02,
 			Datasets: []string{"D1", "D2", "D3"},
@@ -25,6 +27,9 @@ func sharedCorpus(t *testing.T) *Corpus {
 			BAHTime:  5 * time.Second,
 		})
 	})
+	if corpusErr != nil {
+		t.Fatal(corpusErr)
+	}
 	return testCorpus
 }
 
@@ -86,14 +91,6 @@ func TestCorpusGroupings(t *testing.T) {
 	}
 	if total != len(c.Graphs) {
 		t.Fatalf("ByFamily loses graphs: %d != %d", total, len(c.Graphs))
-	}
-	byDS := c.ByDataset()
-	total = 0
-	for _, graphs := range byDS {
-		total += len(graphs)
-	}
-	if total != len(c.Graphs) {
-		t.Fatalf("ByDataset loses graphs: %d != %d", total, len(c.Graphs))
 	}
 	ids := c.DatasetIDs()
 	for i := 1; i < len(ids); i++ {

@@ -80,30 +80,6 @@ func TestBuildCorpusParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBuildCorpusLegacyDelegates pins that BuildCorpus is the
-// background-context special case of BuildCorpusCtx.
-func TestBuildCorpusLegacyDelegates(t *testing.T) {
-	legacy := BuildCorpus(parallelTestConfig(1))
-	ctxed, err := BuildCorpusCtx(context.Background(), parallelTestConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroRuntimes(legacy)
-	zeroRuntimes(ctxed)
-	if len(legacy.Graphs) != len(ctxed.Graphs) {
-		t.Fatalf("graphs: legacy %d, ctx %d", len(legacy.Graphs), len(ctxed.Graphs))
-	}
-	for gi := range legacy.Graphs {
-		for ri := range legacy.Graphs[gi].Results {
-			a := legacy.Graphs[gi].Results[ri]
-			b := ctxed.Graphs[gi].Results[ri]
-			if a.BestT != b.BestT || a.Best != b.Best {
-				t.Fatalf("graph %d alg %s diverged", gi, a.Algorithm)
-			}
-		}
-	}
-}
-
 // TestBuildCorpusCtxCanceled asserts a pre-canceled context aborts the
 // build with ctx.Err() instead of a corpus.
 func TestBuildCorpusCtxCanceled(t *testing.T) {
@@ -121,18 +97,11 @@ func TestBuildCorpusCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestBuildCorpusCtxBadDataset asserts unknown ids surface as errors from
-// the ctx API (and keep panicking from the legacy one).
+// TestBuildCorpusCtxBadDataset asserts unknown ids surface as errors.
 func TestBuildCorpusCtxBadDataset(t *testing.T) {
 	cfg := parallelTestConfig(1)
 	cfg.Datasets = []string{"D99"}
 	if _, err := BuildCorpusCtx(context.Background(), cfg); err == nil {
 		t.Fatal("BuildCorpusCtx accepted unknown dataset id")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BuildCorpus did not panic on unknown dataset id")
-		}
-	}()
-	BuildCorpus(cfg)
 }

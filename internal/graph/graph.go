@@ -79,18 +79,6 @@ func (b *Builder) Reserve(n int) {
 	b.edges = es
 }
 
-// Grow extends the node ranges so that u fits in V1 and v fits in V2.
-// It is a convenience for callers that discover node counts while streaming
-// edges.
-func (b *Builder) Grow(u, v NodeID) {
-	if int(u) >= b.n1 {
-		b.n1 = int(u) + 1
-	}
-	if int(v) >= b.n2 {
-		b.n2 = int(v) + 1
-	}
-}
-
 // Build finalizes the graph. Duplicate (u,v) edges are merged keeping the
 // maximum weight, matching how the paper's pipeline treats repeated
 // candidate pairs.
@@ -102,7 +90,9 @@ func (b *Builder) Build() (*Bipartite, error) {
 	return newBipartite(b.n1, b.n2, edges), nil
 }
 
-// MustBuild is Build that panics on error, for tests and literals.
+// MustBuild is Build that panics on error. It is test support: the
+// tests of this package and of internal/core, eval, rl, serve, cluster
+// and simgraph build their literal graphs with it.
 func (b *Builder) MustBuild() *Bipartite {
 	g, err := b.Build()
 	if err != nil {
@@ -251,9 +241,9 @@ func transposeVMajor(es []Edge, n1 int) ([]Edge, bool) {
 
 // Bipartite is an immutable weighted bipartite similarity graph.
 type Bipartite struct {
-	n1, n2     int
-	edges      []Edge
-	minW, maxW float64
+	n1, n2 int
+	edges  []Edge
+	maxW   float64
 
 	// The matching index, the by-weight permutation and each side's
 	// Adjacency, is built lazily on first use (indexOnce): similarity-
@@ -285,7 +275,7 @@ type Adjacency struct {
 func newBipartite(n1, n2 int, edges []Edge) *Bipartite {
 	g := &Bipartite{n1: n1, n2: n2, edges: edges}
 	if len(edges) > 0 {
-		g.minW, g.maxW = weightRange(edges)
+		_, g.maxW = weightRange(edges)
 	}
 	return g
 }
@@ -299,7 +289,7 @@ func (g *Bipartite) buildIndex() {
 		g.byWeight[i] = int32(i)
 	}
 	// The permutation's comparator is (W descending, then U, V
-	// ascending). Edge lists from Build/Threshold/NormalizeMinMax are
+	// ascending). Edge lists from Build and NormalizeMinMax are
 	// already (U,V)-ascending, so the identity permutation realizes the
 	// tie-break and any STABLE descending-weight sort produces exactly
 	// the comparator's order — which lets large graphs use an LSD radix
@@ -432,9 +422,6 @@ func (g *Bipartite) N1() int { return g.n1 }
 // N2 returns the number of nodes in the second collection.
 func (g *Bipartite) N2() int { return g.n2 }
 
-// NumNodes returns |V1|+|V2|.
-func (g *Bipartite) NumNodes() int { return g.n1 + g.n2 }
-
 // NumEdges returns the number of edges.
 func (g *Bipartite) NumEdges() int { return len(g.edges) }
 
@@ -459,9 +446,6 @@ func (g *Bipartite) Adjacency() (v1, v2 Adjacency) {
 	g.indexOnce.Do(g.buildIndex)
 	return g.adj1, g.adj2
 }
-
-// MinWeight returns the smallest edge weight (0 for an empty graph).
-func (g *Bipartite) MinWeight() float64 { return g.minW }
 
 // MaxWeight returns the largest edge weight (0 for an empty graph).
 func (g *Bipartite) MaxWeight() float64 { return g.maxW }
@@ -539,19 +523,6 @@ func (g *Bipartite) PairWeights() *PairLookup {
 
 func pairKey(u, v NodeID) int64 { return int64(u)<<32 | int64(uint32(v)) }
 
-// Threshold returns a new graph that keeps only the edges with weight
-// strictly greater than t, matching the pruning step "e.sim > t" used by
-// the paper's algorithm listings. Node counts are preserved.
-func (g *Bipartite) Threshold(t float64) *Bipartite {
-	kept := make([]Edge, 0, len(g.edges))
-	for _, e := range g.edges {
-		if e.W > t {
-			kept = append(kept, e)
-		}
-	}
-	return newBipartite(g.n1, g.n2, kept)
-}
-
 // NormalizeMinMax returns a new graph with weights rescaled to [0,1] by
 // min-max normalization, as applied to every similarity graph in the
 // paper's experimental setup (Section 5). If all weights are equal, they
@@ -560,15 +531,6 @@ func (g *Bipartite) NormalizeMinMax() *Bipartite {
 	edges := slices.Clone(g.edges)
 	rescaleMinMax(edges)
 	return newBipartite(g.n1, g.n2, edges)
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Bipartite) TotalWeight() float64 {
-	s := 0.0
-	for _, e := range g.edges {
-		s += e.W
-	}
-	return s
 }
 
 // Density returns |E| / (|V1|*|V2|), the normalized graph size used by the

@@ -42,9 +42,6 @@ func TestBuilderBasics(t *testing.T) {
 	if g.NumEdges() != 5 {
 		t.Fatalf("NumEdges = %d, want 5", g.NumEdges())
 	}
-	if g.NumNodes() != 9 {
-		t.Fatalf("NumNodes = %d, want 9", g.NumNodes())
-	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -89,19 +86,6 @@ func TestBuilderErrorSticky(t *testing.T) {
 	b.Add(0, 0, 0.5) // valid, but must not clear the error
 	if _, err := b.Build(); err == nil {
 		t.Fatal("error was not sticky")
-	}
-}
-
-func TestBuilderGrow(t *testing.T) {
-	b := NewBuilder(0, 0)
-	b.Grow(4, 7)
-	b.Add(4, 7, 0.5)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N1() != 5 || g.N2() != 8 {
-		t.Fatalf("sides = (%d,%d), want (5,8)", g.N1(), g.N2())
 	}
 }
 
@@ -163,24 +147,6 @@ func TestWeight(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	g := paperGraph(t)
-	pruned := g.Threshold(0.5)
-	if pruned.NumEdges() != 4 {
-		t.Fatalf("edges after t=0.5: %d, want 4", pruned.NumEdges())
-	}
-	if pruned.N1() != g.N1() || pruned.N2() != g.N2() {
-		t.Fatal("Threshold changed node counts")
-	}
-	// Strictly greater: an edge exactly at t is pruned.
-	if pruned.Threshold(0.6).NumEdges() != 2 {
-		t.Fatalf("edges after t=0.6: %d, want 2", pruned.Threshold(0.6).NumEdges())
-	}
-	if g.Threshold(1.0).NumEdges() != 0 {
-		t.Fatal("t=1.0 should prune everything")
-	}
-}
-
 func TestNormalizeMinMax(t *testing.T) {
 	g := mustGraph(t, 2, 2, []Edge{{0, 0, 2}, {0, 1, 4}, {1, 1, 6}})
 	n := g.NormalizeMinMax()
@@ -238,11 +204,11 @@ func TestDensityAndTotals(t *testing.T) {
 	if got, want := g.Density(), 5.0/20.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Density = %v, want %v", got, want)
 	}
-	if got, want := g.TotalWeight(), 0.6+0.9+0.6+0.7+0.3; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("TotalWeight = %v, want %v", got, want)
+	if got := g.MaxWeight(); got != 0.9 {
+		t.Fatalf("MaxWeight = %v, want 0.9", got)
 	}
 	empty := mustGraph(t, 0, 0, nil)
-	if empty.Density() != 0 || empty.MinWeight() != 0 || empty.MaxWeight() != 0 {
+	if empty.Density() != 0 || empty.MaxWeight() != 0 {
 		t.Fatal("empty graph stats not zero")
 	}
 }
@@ -270,34 +236,6 @@ func TestPropertyValidateRandomGraphs(t *testing.T) {
 		return g.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyThresholdMonotone(t *testing.T) {
-	f := func(seed int64, a, bq float64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 20, 100)
-		t1 := math.Mod(math.Abs(a), 1)
-		t2 := math.Mod(math.Abs(bq), 1)
-		if t1 > t2 {
-			t1, t2 = t2, t1
-		}
-		g1, g2 := g.Threshold(t1), g.Threshold(t2)
-		if g2.NumEdges() > g1.NumEdges() {
-			return false
-		}
-		for _, e := range g2.Edges() {
-			if e.W <= t2 {
-				return false
-			}
-			if _, ok := g1.Weight(e.U, e.V); !ok {
-				return false // higher threshold kept an edge the lower one dropped
-			}
-		}
-		return g1.Validate() == nil && g2.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -473,12 +411,13 @@ func TestNormalizeMinMaxMatchesRebuild(t *testing.T) {
 				g.EdgesByWeight()
 			}
 			got := g.NormalizeMinMax()
-			span := g.MaxWeight() - g.MinWeight()
+			lo, hi := weightRange(g.Edges())
+			span := hi - lo
 			rb := NewBuilder(g.N1(), g.N2())
 			for _, e := range g.Edges() {
 				w := 1.0
 				if span > 0 {
-					w = (e.W - g.MinWeight()) / span
+					w = (e.W - lo) / span
 				}
 				rb.Add(e.U, e.V, w)
 			}

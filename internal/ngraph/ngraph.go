@@ -46,7 +46,7 @@ func edgeKey(a, b int32) uint64 {
 }
 
 // Vocab interns grams to dense ids shared by a set of graphs. Grams
-// reach it either as strings (ID) or — on FromValue's allocation-free
+// reach it either as strings (ID) or — on FromEntity's allocation-free
 // fast paths — as rune windows and token-id tuples; the key equivalences
 // coincide with string equality of the gram strings, so ids are assigned
 // in the same first-occurrence order either way. A single Vocab serves
@@ -143,15 +143,7 @@ func fromKeys(keys []uint64) *Graph {
 	return g
 }
 
-// FromValue builds the n-gram graph of a single textual value under the
-// given mode: nodes are the value's n-grams and every pair of grams whose
-// window distance is at most n is connected, with the edge weight counting
-// co-occurrences.
-func FromValue(vocab *Vocab, mode vector.Mode, value string) *Graph {
-	return fromValueScratch(vocab, mode, value, nil).graph()
-}
-
-// valueScratch carries the reusable per-entity buffers of the FromValue
+// valueScratch carries the reusable per-entity buffers of the FromEntity
 // hot path.
 type valueScratch struct {
 	ids  []int32
@@ -169,9 +161,6 @@ func (s *valueScratch) graph() *Graph {
 // n <= 3 — all of Modes()), then the co-occurrence edge keys. The gram
 // id assignment matches the string path exactly (see Vocab).
 func fromValueScratch(vocab *Vocab, mode vector.Mode, value string, s *valueScratch) *valueScratch {
-	if s == nil {
-		s = &valueScratch{}
-	}
 	s.ids = s.ids[:0]
 	switch {
 	case mode.Char && mode.N <= 4:
@@ -340,50 +329,6 @@ func common(a, b *Graph) (int, float64) {
 	return n, ratio
 }
 
-// Containment estimates the portion of common edges, ignoring weights:
-// |Gi ∩ Gj| / min(|Gi|, |Gj|).
-func Containment(a, b *Graph) float64 {
-	if a.NumEdges() == 0 && b.NumEdges() == 0 {
-		return 1
-	}
-	if a.NumEdges() == 0 || b.NumEdges() == 0 {
-		return 0
-	}
-	n, _ := common(a, b)
-	return float64(n) / float64(min2(a.NumEdges(), b.NumEdges()))
-}
-
-// Value extends containment with weights:
-// Σ_{e∈Gi∩Gj} min(w)/max(w) / max(|Gi|,|Gj|).
-func Value(a, b *Graph) float64 {
-	if a.NumEdges() == 0 && b.NumEdges() == 0 {
-		return 1
-	}
-	if a.NumEdges() == 0 || b.NumEdges() == 0 {
-		return 0
-	}
-	_, ratio := common(a, b)
-	return ratio / float64(max2(a.NumEdges(), b.NumEdges()))
-}
-
-// NormalizedValue mitigates size imbalance by dividing by the smaller
-// graph: Σ_{e∈Gi∩Gj} min(w)/max(w) / min(|Gi|,|Gj|).
-func NormalizedValue(a, b *Graph) float64 {
-	if a.NumEdges() == 0 && b.NumEdges() == 0 {
-		return 1
-	}
-	if a.NumEdges() == 0 || b.NumEdges() == 0 {
-		return 0
-	}
-	_, ratio := common(a, b)
-	return ratio / float64(min2(a.NumEdges(), b.NumEdges()))
-}
-
-// Overall is the average of containment, value and normalized value.
-func Overall(a, b *Graph) float64 {
-	return (Containment(a, b) + Value(a, b) + NormalizedValue(a, b)) / 3
-}
-
 // Measure names for graph models (Appendix B, category 3).
 const (
 	MeasureContainment     = "Containment"
@@ -399,26 +344,19 @@ func Measures() []string {
 	}
 }
 
-// Sim computes the named graph similarity. It panics on an unknown
-// measure name.
-func Sim(measure string, a, b *Graph) float64 {
-	switch measure {
-	case MeasureContainment:
-		return Containment(a, b)
-	case MeasureValue:
-		return Value(a, b)
-	case MeasureNormalizedValue:
-		return NormalizedValue(a, b)
-	case MeasureOverall:
-		return Overall(a, b)
-	default:
-		panic("ngraph: unknown measure " + measure)
-	}
-}
-
-// AllSims computes all four graph measures in a single merge join over
-// the sorted edge lists, returned in Measures() order: containment,
-// value, normalized value, overall.
+// AllSims computes the four graph measures of a and b in a single merge
+// join over the sorted edge lists, returned in Measures() order:
+//
+//   - containment, the portion of common edges ignoring weights:
+//     |Gi ∩ Gj| / min(|Gi|, |Gj|);
+//   - value, containment with weights:
+//     Σ_{e∈Gi∩Gj} min(w)/max(w) / max(|Gi|,|Gj|);
+//   - normalized value, which divides by the smaller graph instead to
+//     mitigate size imbalance: Σ_{e∈Gi∩Gj} min(w)/max(w) / min(|Gi|,|Gj|);
+//   - overall, the average of the three.
+//
+// Two empty graphs score 1 on every measure, and an empty graph scores
+// 0 against a non-empty one.
 func AllSims(a, b *Graph) [4]float64 {
 	if a.NumEdges() == 0 && b.NumEdges() == 0 {
 		return [4]float64{1, 1, 1, 1}
@@ -478,18 +416,4 @@ func (g *Graph) GramIDs() []int32 {
 		}
 	}
 	return out
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

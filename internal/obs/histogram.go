@@ -91,35 +91,6 @@ type HistSnapshot struct {
 	Count  int64
 }
 
-// Merge adds another snapshot's counts into this one. Both must share
-// the same bucket layout (the module only ever merges default-layout
-// histograms); mismatched layouts merge nothing and return false.
-func (s *HistSnapshot) Merge(o HistSnapshot) bool {
-	if o.Count == 0 {
-		return true
-	}
-	if len(s.Counts) == 0 {
-		s.Bounds = o.Bounds
-		s.Counts = append([]int64(nil), o.Counts...)
-		s.Sum, s.Count = o.Sum, o.Count
-		return true
-	}
-	if len(s.Counts) != len(o.Counts) {
-		return false
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			return false
-		}
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-	return true
-}
-
 // Quantile estimates the q-quantile (0 < q <= 1) as a duration, by
 // locating the bucket holding the q·Count-th observation and linearly
 // interpolating within its bounds. Observations in the +Inf bucket
@@ -162,14 +133,6 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 		return time.Duration(lo) + time.Duration(frac*float64(hi-lo))
 	}
 	return time.Duration(s.Bounds[len(s.Bounds)-1])
-}
-
-// Mean returns the mean observation, 0 when empty.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Sum / s.Count)
 }
 
 // HistogramVec is a set of histograms keyed by one label value, created

@@ -229,7 +229,9 @@ func checkHistogram(f *Family) error {
 }
 
 // CheckMonotonic verifies that every counter series present in both
-// scrapes did not decrease from a to b.
+// scrapes did not decrease from a to b. It is test support: the tests
+// of internal/obs, internal/serve and cmd/erserve compare two scrapes
+// with it.
 func CheckMonotonic(a, b *Scrape) error {
 	for name, fa := range a.Families {
 		if fa.Type != "counter" {

@@ -26,7 +26,10 @@ type Faults struct {
 	hits   map[string]int64
 }
 
-// NewFaults returns an empty registry; arm points with Set.
+// NewFaults returns an empty registry; arm points with Set. It is test
+// support: the overload, readiness and metrics tests of internal/serve
+// and the router tests of internal/cluster build their registries with
+// it.
 func NewFaults() *Faults {
 	return &Faults{points: map[string]*fault{}, hits: map[string]int64{}}
 }
@@ -34,7 +37,7 @@ func NewFaults() *Faults {
 // Set arms the named point: every matching Inject sleeps delay (cut
 // short by the caller's context) and returns err. count bounds how many
 // hits fire; count < 0 keeps the fault armed forever, count == 0
-// disarms the point.
+// disarms the point. It is test support, like NewFaults.
 func (f *Faults) Set(point string, delay time.Duration, err error, count int) {
 	if f == nil {
 		return
@@ -85,7 +88,8 @@ func (f *Faults) Inject(ctx context.Context, point string) error {
 }
 
 // Hits is the lifetime armed-hit count of the named point; it survives
-// the point disarming or exhausting its count.
+// the point disarming or exhausting its count. It is test support: the
+// tests of this package and internal/serve read it.
 func (f *Faults) Hits(point string) int64 {
 	if f == nil {
 		return 0

@@ -22,13 +22,6 @@ const (
 	numPriorities
 )
 
-func (p Priority) String() string {
-	if p == Interactive {
-		return "interactive"
-	}
-	return "bulk"
-}
-
 // Shed reasons, the machine-readable vocabulary of ShedError and the
 // shed_total{reason} metric.
 const (

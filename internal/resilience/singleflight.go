@@ -35,7 +35,6 @@ type Group[K comparable, V any] struct {
 	mu      sync.Mutex
 	flights map[K]*flight[V]
 	hits    atomic.Int64
-	leads   atomic.Int64
 }
 
 // Do returns the result of fn for key, sharing an in-flight execution
@@ -51,7 +50,6 @@ func (g *Group[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V
 		fctx, cancel := context.WithCancel(context.Background())
 		f = &flight[V]{cancel: cancel, done: make(chan struct{})}
 		g.flights[key] = f
-		g.leads.Add(1)
 		go g.lead(key, f, fctx, fn)
 	} else {
 		g.hits.Add(1)
@@ -108,13 +106,3 @@ func (g *Group[K, V]) release(key K, f *flight[V]) {
 // Hits is the lifetime count of Do calls that attached to another
 // caller's in-flight execution instead of computing themselves.
 func (g *Group[K, V]) Hits() int64 { return g.hits.Load() }
-
-// Leads is the lifetime count of executions actually started.
-func (g *Group[K, V]) Leads() int64 { return g.leads.Load() }
-
-// InFlight is the number of executions currently running.
-func (g *Group[K, V]) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.flights)
-}

@@ -343,11 +343,6 @@ func (s *Server) BeginDrain() {
 	s.draining.Store(true)
 }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool {
-	return s.draining.Load()
-}
-
 // Close drains the service: no new jobs are accepted, queued and running
 // sweeps are cancelled through their contexts, and the job workers are
 // awaited up to ctx's deadline. The durable log, when one is attached,

@@ -233,7 +233,7 @@ func TestGenerateStatsShape(t *testing.T) {
 		}
 		return n1 * n2
 	}
-	models := int64(len(embed.Models()))
+	models := int64(len(embed.CachedModels()))
 	names := nonEmpty(task.V1.AttrTexts("name"), task.V2.AttrTexts("name"))
 	for _, c := range []struct {
 		family Family

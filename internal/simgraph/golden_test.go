@@ -16,32 +16,56 @@ import (
 // Golden equivalence: the row-parallel, candidate-enumerating,
 // representation-caching fast path must emit graphs byte-identical
 // (graph.Checksum over the full edge list at float64 precision) to the
-// seed pipeline shape — dense O(n1×n2) double loops recomputing every
-// measure per pair through the string/Sim APIs. The reference below is
-// the seed Generate ported verbatim minus the family-level goroutines
-// (which never affected content).
+// seed pipeline shape: dense O(n1×n2) double loops scoring every pair,
+// with no candidate filter, no shared tokenization and no caches. This
+// proves that candidate enumeration misses no positive pair, that the
+// caches and shared tokenization are neutral, and that the slot-ordered
+// assembly is scheduling-independent.
 //
-// What this proves, precisely: candidate enumeration misses no
-// positive pair, the single-merge-join AllSims/TokenSims kernels agree
-// with the per-measure APIs, the per-entity caches are neutral, and
-// the slot-ordered assembly is scheduling-independent. The measure
-// KERNELS themselves are pinned to the deleted seed implementations
-// one level down: internal/strsim's profile_test.go compares every
-// token/q-gram measure bit-for-bit against verbatim copies of the old
-// map-based code (the string API here routes through the same
-// profiles, closing the chain), and the char *Seq funcs are the moved
-// seed bodies. The one deliberate deviation is ngraph: the seed
-// summed weight ratios in random map-iteration order (nondeterministic
-// in the last ulp across processes), so the sorted-edge rewrite fixes
-// a canonical order instead of reproducing an unreproducible one; both
-// sides of this test share it.
+// The dense loops read the per-pair kernels; each is pinned bit for bit
+// one level down by its own package's tests, against references kept
+// there:
+//
+//   - SB-SYN, the strsim measures: strsim's profile_test.go holds every
+//     token/q-gram measure to verbatim copies of the old map-based code,
+//     and the char *Seq funcs are the moved seed bodies.
+//   - SA-SYN bags, vector's Space.AllSims: vector's
+//     TestAllSimsConsistent, against Space.Sim, over this test's task.
+//   - SA-SYN n-gram graphs, ngraph.AllSims: ngraph's
+//     TestAllSimsConsistent, against Containment, Value,
+//     NormalizedValue and Overall, over this test's task. (The seed
+//     summed weight ratios in map-iteration order, nondeterministic in
+//     the last ulp, so the sorted-edge kernel fixes a canonical order.)
+//   - SB-SEM and SA-SEM, embed.CosineEuclidean: embed's
+//     TestCosineEuclideanFused, against CosineSim and EuclideanSim,
+//     over this test's texts; and relaxedWMS below, to which
+//     FuzzRelaxedWMS holds the row kernel's distance tables.
 
-func slowAppend(out []SimGraph, ds string, family Family, name string, b *graph.Builder) []SimGraph {
-	g, err := b.Build()
-	if err != nil {
-		panic(fmt.Sprintf("golden: %v", err))
+// denseGraphs scores every (i, j) pair with sims, which returns one
+// score per name (nil to skip the pair), and appends one normalized
+// graph per name, built from the positive scores.
+func denseGraphs(out []SimGraph, ds string, family Family, prefix string, names []string, n1, n2 int, sims func(i, j int) []float64) []SimGraph {
+	builders := make([]*graph.Builder, len(names))
+	for k := range builders {
+		builders[k] = graph.NewBuilder(n1, n2)
 	}
-	return append(out, SimGraph{Dataset: ds, Family: family, Name: name, G: g.NormalizeMinMax()})
+	for i := 0; i < n1; i++ {
+		for j := 0; j < n2; j++ {
+			for k, sim := range sims(i, j) {
+				if sim > 0 {
+					builders[k].Add(int32(i), int32(j), sim)
+				}
+			}
+		}
+	}
+	for k, name := range names {
+		g, err := builders[k].Build()
+		if err != nil {
+			panic(fmt.Sprintf("golden: %v", err))
+		}
+		out = append(out, SimGraph{Dataset: ds, Family: family, Name: prefix + name, G: g.NormalizeMinMax()})
+	}
+	return out
 }
 
 func slowSchemaBased(task *dataset.Task, keyAttrs []string) []SimGraph {
@@ -58,40 +82,25 @@ func slowSchemaBased(task *dataset.Task, keyAttrs []string) []SimGraph {
 		"MongeElkan":         strsim.MongeElkan,
 	}
 	var out []SimGraph
-	n1, n2 := task.V1.Len(), task.V2.Len()
 	for _, attr := range keyAttrs {
 		texts1 := task.V1.AttrTexts(attr)
 		texts2 := task.V2.AttrTexts(attr)
 		tokens1 := tokenizeAll(texts1)
 		tokens2 := tokenizeAll(texts2)
-		builders := make([]*graph.Builder, len(sbMeasureNames))
-		for k := range builders {
-			builders[k] = graph.NewBuilder(n1, n2)
-		}
-		for i := 0; i < n1; i++ {
-			if texts1[i] == "" {
-				continue
+		out = denseGraphs(out, task.Name, SBSyn, attr+"/", sbMeasureNames, len(texts1), len(texts2), func(i, j int) []float64 {
+			if texts1[i] == "" || texts2[j] == "" {
+				return nil
 			}
-			for j := 0; j < n2; j++ {
-				if texts2[j] == "" {
-					continue
-				}
-				for k, name := range sbMeasureNames {
-					var sim float64
-					if k < numChar {
-						sim = charFuncs[name](texts1[i], texts2[j])
-					} else {
-						sim = tokenFuncs[name](tokens1[i], tokens2[j])
-					}
-					if sim > 0 {
-						builders[k].Add(int32(i), int32(j), sim)
-					}
+			sims := make([]float64, len(sbMeasureNames))
+			for k, name := range sbMeasureNames {
+				if k < numChar {
+					sims[k] = charFuncs[name](texts1[i], texts2[j])
+				} else {
+					sims[k] = tokenFuncs[name](tokens1[i], tokens2[j])
 				}
 			}
-		}
-		for k, name := range sbMeasureNames {
-			out = slowAppend(out, task.Name, SBSyn, attr+"/"+name, builders[k])
-		}
+			return sims
+		})
 	}
 	return out
 }
@@ -101,21 +110,13 @@ func slowSchemaAgnostic(task *dataset.Task) []SimGraph {
 	texts1 := task.V1.Texts()
 	texts2 := task.V2.Texts()
 	n1, n2 := len(texts1), len(texts2)
+	var spaces *vector.SpaceCache // nil: every Space built afresh
 	for _, mode := range vector.Modes() {
-		// Bag models: every pair, every measure, through the Sim API.
-		space := vector.NewSpace(mode, texts1, texts2)
-		for _, name := range vector.Measures() {
-			b := graph.NewBuilder(n1, n2)
-			for i := 0; i < n1; i++ {
-				for j := 0; j < n2; j++ {
-					if sim := space.Sim(name, i, j); sim > 0 {
-						b.Add(int32(i), int32(j), sim)
-					}
-				}
-			}
-			out = slowAppend(out, task.Name, SASyn, mode.String()+"/"+name, b)
-		}
-		// N-gram graph models: every pair, every measure, via ngraph.Sim.
+		space := spaces.Get(mode, texts1, texts2, nil, nil)
+		out = denseGraphs(out, task.Name, SASyn, mode.String()+"/", vector.Measures(), n1, n2, func(i, j int) []float64 {
+			sims := space.AllSims(i, j)
+			return sims[:]
+		})
 		vocab := ngraph.NewVocab()
 		graphs1 := make([]*ngraph.Graph, n1)
 		for i, p := range task.V1.Profiles {
@@ -125,23 +126,17 @@ func slowSchemaAgnostic(task *dataset.Task) []SimGraph {
 		for j, p := range task.V2.Profiles {
 			graphs2[j] = ngraph.FromEntity(vocab, mode, p.Values())
 		}
-		for _, name := range ngraph.Measures() {
-			b := graph.NewBuilder(n1, n2)
-			for i := 0; i < n1; i++ {
-				for j := 0; j < n2; j++ {
-					if sim := ngraph.Sim(name, graphs1[i], graphs2[j]); sim > 0 {
-						b.Add(int32(i), int32(j), sim)
-					}
-				}
-			}
-			out = slowAppend(out, task.Name, SASyn, mode.String()+"g/"+name, b)
-		}
+		out = denseGraphs(out, task.Name, SASyn, mode.String()+"g/", ngraph.Measures(), n1, n2, func(i, j int) []float64 {
+			sims := ngraph.AllSims(graphs1[i], graphs2[j])
+			return sims[:]
+		})
 	}
 	return out
 }
 
-// slowSemantic mirrors the seed semantic family: embeddings via
-// model.Embed per entity, token vectors truncated for the relaxed WMS.
+// slowSemantic mirrors the seed semantic family: uncached models, each
+// entity's embedding and token vectors computed from its own text,
+// token vectors truncated for the relaxed WMS.
 func slowSemantic(task *dataset.Task, keyAttrs []string, opts Options, family Family) []SimGraph {
 	type scope struct {
 		prefix         string
@@ -158,73 +153,49 @@ func slowSemantic(task *dataset.Task, keyAttrs []string, opts Options, family Fa
 	}
 	var out []SimGraph
 	for _, sc := range scopes {
-		for _, model := range embed.Models() {
-			out = append(out, slowSemanticGraphs(task.Name, family,
-				sc.prefix+model.Name(), model, sc.texts1, sc.texts2, opts)...)
+		for _, model := range []embed.Model{embed.FastTextLike{}, embed.ContextualLike{}} {
+			out = slowSemanticGraphs(out, task.Name, family, sc.prefix+model.Name()+"/", model, sc.texts1, sc.texts2, opts)
 		}
 	}
 	return out
 }
 
-func slowSemanticGraphs(ds string, family Family, prefix string, model embed.Model, texts1, texts2 []string, opts Options) []SimGraph {
-	n1, n2 := len(texts1), len(texts2)
-	embAll := func(texts []string) [][]float64 {
-		out := make([][]float64, len(texts))
-		for i, t := range texts {
-			out[i] = model.Embed(t)
-		}
-		return out
+func slowSemanticGraphs(out []SimGraph, ds string, family Family, prefix string, model embed.Model, texts1, texts2 []string, opts Options) []SimGraph {
+	type rep struct {
+		emb []float64
+		tv  [][]float64
+		tw  []float64
 	}
-	tvAll := func(texts []string) ([][][]float64, [][]float64) {
-		vecs := make([][][]float64, len(texts))
-		ws := make([][]float64, len(texts))
+	reps := func(texts []string) []rep {
+		out := make([]rep, len(texts))
 		for i, t := range texts {
 			v, w := model.TokenVectors(t)
+			out[i].emb = embed.EmbedTokens(model.Dim(), v, w)
 			if len(v) > opts.maxWMDTokens() {
 				v, w = v[:opts.maxWMDTokens()], w[:opts.maxWMDTokens()]
 			}
-			vecs[i] = v
-			ws[i] = w
+			out[i].tv, out[i].tw = v, w
 		}
-		return vecs, ws
+		return out
 	}
-	emb1, emb2 := embAll(texts1), embAll(texts2)
-	tv1, tw1 := tvAll(texts1)
-	tv2, tw2 := tvAll(texts2)
-
-	builders := [3]*graph.Builder{}
-	for k := range builders {
-		builders[k] = graph.NewBuilder(n1, n2)
-	}
-	for i := 0; i < n1; i++ {
-		if texts1[i] == "" {
-			continue
+	reps1, reps2 := reps(texts1), reps(texts2)
+	return denseGraphs(out, ds, family, prefix, embed.Measures(), len(texts1), len(texts2), func(i, j int) []float64 {
+		if texts1[i] == "" || texts2[j] == "" {
+			return nil
 		}
-		for j := 0; j < n2; j++ {
-			if texts2[j] == "" {
-				continue
-			}
-			if sim := embed.CosineSim(emb1[i], emb2[j]); sim > 0 {
-				builders[0].Add(int32(i), int32(j), sim)
-			}
-			if sim := embed.EuclideanSim(emb1[i], emb2[j]); sim > 0 {
-				builders[1].Add(int32(i), int32(j), sim)
-			}
-			if sim := relaxedWMS(tv1[i], tw1[i], tv2[j], tw2[j]); sim > 0 {
-				builders[2].Add(int32(i), int32(j), sim)
-			}
-		}
-	}
-	var out []SimGraph
-	for k, name := range embed.Measures() {
-		out = slowAppend(out, ds, family, prefix+"/"+name, builders[k])
-	}
-	return out
+		a, b := reps1[i], reps2[j]
+		cos, euc := embed.CosineEuclidean(a.emb, b.emb, embed.NormSq(a.emb), embed.NormSq(b.emb))
+		return []float64{cos, euc, relaxedWMS(a.tv, a.tw, b.tv, b.tw)}
+	})
 }
 
-// relaxedWMS mirrors embed.WordMoversSim over pre-computed token
-// vectors: the reference the row kernel's distance tables
-// (tokenMatrix.distances and wms) must equal bit for bit.
+// relaxedWMS returns 1/(1+rwmd), where rwmd is the relaxed Word Mover's
+// distance over pre-computed token vectors: the larger of the two
+// directional greedy transport costs (each token's mass moves to its
+// nearest counterpart), a standard lower bound of the exact WMD that
+// keeps its ordering behaviour. It is the reference the row kernel's
+// distance tables (tokenMatrix.distances and wms) must equal bit for
+// bit.
 func relaxedWMS(va [][]float64, wa []float64, vb [][]float64, wb []float64) float64 {
 	if len(va) == 0 || len(vb) == 0 {
 		return 0

@@ -981,10 +981,12 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// wms returns the relaxed Word Mover's similarity (embed.WordMoversSim
-// over truncated token vectors) of the left entity whose distances
-// filled tab and the right entity j, whose token weights are wb. It
-// reads the table in the reference's order: each left token's minimum
+// wms returns the relaxed Word Mover's similarity 1/(1+rwmd) over
+// truncated token vectors, where rwmd is the larger of the two
+// directional greedy transport costs, of the left entity whose
+// distances filled tab and the right entity j, whose token weights are
+// wb. It reads the table in the order of relaxedWMS, the reference in
+// this package's tests: each left token's minimum
 // over j's rows, each of j's rows' minimum at ascending left token
 // (directional's scan order for the reverse direction, whose squared
 // differences are bit-identical), then the two weighted sums in token

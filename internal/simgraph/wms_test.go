@@ -2,7 +2,11 @@ package simgraph
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
+
+	"github.com/ccer-go/ccer/internal/embed"
 )
 
 // wmsInput decodes fuzz bytes into one left entity and one to three
@@ -121,4 +125,41 @@ func FuzzRelaxedWMS(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRelaxedWMSProperties: closer texts score higher, a text scores 1
+// against itself and 0 against an empty text, and the similarity is
+// symmetric and in (0,1] on token soup.
+func TestRelaxedWMSProperties(t *testing.T) {
+	for _, m := range []embed.Model{embed.FastTextLike{}, embed.ContextualLike{}} {
+		wms := func(a, b string) float64 {
+			va, wa := m.TokenVectors(a)
+			vb, wb := m.TokenVectors(b)
+			return relaxedWMS(va, wa, vb, wb)
+		}
+		if near, far := wms("green apple pie", "green apple tart"), wms("green apple pie", "quantum flux generator"); near <= far {
+			t.Fatalf("%s: near %v <= far %v", m.Name(), near, far)
+		}
+		if self := wms("a b c", "a b c"); self != 1 {
+			t.Fatalf("%s: self = %v, want 1", m.Name(), self)
+		}
+		if s := wms("", "something"); s != 0 {
+			t.Fatalf("%s: against empty text = %v, want 0", m.Name(), s)
+		}
+		words := []string{"red", "apple", "pie", "york", "bank", "x9", "flux"}
+		rng := rand.New(rand.NewSource(1))
+		soup := func() string {
+			parts := make([]string, rng.Intn(5)+1)
+			for i := range parts {
+				parts[i] = words[rng.Intn(len(words))]
+			}
+			return strings.Join(parts, " ")
+		}
+		for i := 0; i < 40; i++ {
+			a, b := soup(), soup()
+			if s := wms(a, b); s <= 0 || s > 1 || s != wms(b, a) {
+				t.Fatalf("%s: wms(%q, %q) = %v, reversed %v", m.Name(), a, b, s, wms(b, a))
+			}
+		}
+	}
 }

@@ -73,9 +73,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 { return Describe(xs).Std }
-
 // Pearson returns the Pearson correlation coefficient of two equal-length
 // samples, or 0 if either sample is constant or empty.
 func Pearson(xs, ys []float64) float64 {

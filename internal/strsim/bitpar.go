@@ -24,7 +24,8 @@ func LevenshteinSeq(ra, rb []rune) float64 {
 	return normDist(LevenshteinDistanceSeq(ra, rb), len(ra), len(rb))
 }
 
-// LevenshteinDistanceSeq is LevenshteinDistance over rune slices.
+// LevenshteinDistanceSeq returns the minimum number of insertions,
+// deletions and substitutions transforming ra into rb.
 func LevenshteinDistanceSeq(ra, rb []rune) int {
 	if len(ra) == 0 {
 		return len(rb)
@@ -56,9 +57,10 @@ func DamerauLevenshteinSeq(ra, rb []rune) float64 {
 	return normDist(DamerauLevenshteinDistanceSeq(ra, rb, nil), len(ra), len(rb))
 }
 
-// DamerauLevenshteinDistanceSeq is DamerauLevenshteinDistance over rune
-// slices. Rows longer than the stack buffers come from scratch, which
-// may be nil.
+// DamerauLevenshteinDistanceSeq returns the restricted
+// Damerau-Levenshtein edit distance (insert, delete, substitute,
+// transpose adjacent) of ra and rb. Rows longer than the stack buffers
+// come from scratch, which may be nil.
 func DamerauLevenshteinDistanceSeq(ra, rb []rune, scratch *CharScratch) int {
 	if len(ra) == 0 {
 		return len(rb)

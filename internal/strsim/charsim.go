@@ -21,23 +21,11 @@ func Levenshtein(a, b string) float64 {
 	return LevenshteinSeq([]rune(a), []rune(b))
 }
 
-// LevenshteinDistance returns the minimum number of insertions, deletions
-// and substitutions transforming a into b.
-func LevenshteinDistance(a, b string) int {
-	return LevenshteinDistanceSeq([]rune(a), []rune(b))
-}
-
 // DamerauLevenshtein returns the normalized Damerau-Levenshtein
 // similarity, which additionally allows transpositions of adjacent
 // characters (restricted edit distance).
 func DamerauLevenshtein(a, b string) float64 {
 	return DamerauLevenshteinSeq([]rune(a), []rune(b))
-}
-
-// DamerauLevenshteinDistance returns the restricted Damerau-Levenshtein
-// edit distance (insert, delete, substitute, transpose adjacent).
-func DamerauLevenshteinDistance(a, b string) int {
-	return DamerauLevenshteinDistanceSeq([]rune(a), []rune(b), nil)
 }
 
 // Jaro returns the Jaro similarity of a and b.

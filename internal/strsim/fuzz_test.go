@@ -44,8 +44,8 @@ func FuzzLevenshteinMetric(f *testing.F) {
 	f.Add("", "", "")
 	f.Fuzz(func(t *testing.T, a, b, c string) {
 		a, b, c = clip(a), clip(b), clip(c)
-		ab := LevenshteinDistance(a, b)
-		ba := LevenshteinDistance(b, a)
+		ab := LevenshteinDistanceSeq([]rune(a), []rune(b))
+		ba := LevenshteinDistanceSeq([]rune(b), []rune(a))
 		if ab != ba {
 			t.Fatalf("not symmetric: %d vs %d", ab, ba)
 		}
@@ -55,7 +55,7 @@ func FuzzLevenshteinMetric(f *testing.F) {
 		if (ab == 0) != (a == b) {
 			t.Fatalf("identity of indiscernibles broken for %q,%q", a, b)
 		}
-		if ac, bc := LevenshteinDistance(a, c), LevenshteinDistance(b, c); ac > ab+bc {
+		if ac, bc := LevenshteinDistanceSeq([]rune(a), []rune(c)), LevenshteinDistanceSeq([]rune(b), []rune(c)); ac > ab+bc {
 			t.Fatalf("triangle inequality broken: %d > %d + %d", ac, ab, bc)
 		}
 	})

@@ -74,14 +74,9 @@ func OverlapCoefficient(a, b []string) float64 {
 
 // MongeElkan returns the Monge-Elkan similarity: the average, over tokens
 // of a, of the best Smith-Waterman similarity against tokens of b. It is
-// asymmetric by definition; SymmetricMongeElkan averages both directions.
+// asymmetric by definition.
 func MongeElkan(a, b []string) float64 {
 	return NewTokenProfile(a).MongeElkan(NewTokenProfile(b), nil)
-}
-
-// SymmetricMongeElkan averages MongeElkan in both directions.
-func SymmetricMongeElkan(a, b []string) float64 {
-	return (MongeElkan(a, b) + MongeElkan(b, a)) / 2
 }
 
 // OnTokens lifts a TokenFunc to a string similarity using Tokenize.

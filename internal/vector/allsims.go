@@ -4,7 +4,7 @@ package vector
 // building them on first use. Kept for callers that want the raw
 // vectors; AllSims reads the cache internally. The returned slices
 // alias the Space's cache and must not be modified — mutating them
-// would corrupt every subsequent Sim/AllSims/TFIDF on this Space.
+// would corrupt every subsequent AllSims/TFIDF on this Space.
 func (s *Space) CacheTFIDF() (c1, c2 []Vec) {
 	s.ensureCache()
 	return s.tfidf1, s.tfidf2
@@ -12,9 +12,22 @@ func (s *Space) CacheTFIDF() (c1, c2 []Vec) {
 
 // AllSims computes all six bag measures for the pair (i, j) in a single
 // merge-join over the two sparse vectors, returning them in Measures()
-// order: ARCS, CosineTF, CosineTFIDF, Jaccard, GeneralizedJaccardTF,
-// GeneralizedJaccardTFIDF. The TF-IDF vectors and all four norms come
-// from the per-entity cache, so the pair cost is exactly one merge join.
+// order:
+//
+//   - ARCS sums log2 / log(DF1(k)·DF2(k)) over the grams k the two
+//     entities share, so the rarer the shared grams, the higher the
+//     score. Frequencies are floored at 2 (a gram seen once would zero
+//     the log), and the sum is divided by the smaller vector's size and
+//     capped at 1. An empty vector scores 0.
+//   - CosineTF and CosineTFIDF are the cosine of the TF and of the
+//     TF-IDF vectors, 0 for a zero vector.
+//   - Jaccard is set Jaccard over the non-zero dimensions.
+//   - GeneralizedJaccardTF and GeneralizedJaccardTFIDF are
+//     Σmin(w)/Σmax(w) over the TF and the TF-IDF weights.
+//
+// The Jaccard measures score two empty vectors 1. The TF-IDF vectors
+// and all four norms come from the per-entity cache, so the pair cost
+// is exactly one merge join.
 func (s *Space) AllSims(i, j int) [6]float64 {
 	s.ensureCache()
 	a, b := s.docs1[i], s.docs2[j]

@@ -19,7 +19,8 @@ func NewSpaceCache(maxEntries int) *SpaceCache {
 }
 
 // Get returns the Space of the two collections under the mode, building
-// it on a miss. toks1/toks2 follow NewSpaceTokens and may be nil.
+// it on a miss. toks1/toks2 are the texts' tokens, or nil (see
+// newSpace).
 func (c *SpaceCache) Get(mode Mode, texts1, texts2 []string, toks1, toks2 [][]string) *Space {
 	if c == nil {
 		return newSpace(mode, texts1, texts2, toks1, toks2)

@@ -115,84 +115,6 @@ func (v Vec) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Dot returns the dot product of two sparse vectors via merge join.
-func Dot(a, b Vec) float64 {
-	i, j, s := 0, 0, 0.0
-	for i < len(a.IDs) && j < len(b.IDs) {
-		switch {
-		case a.IDs[i] < b.IDs[j]:
-			i++
-		case a.IDs[i] > b.IDs[j]:
-			j++
-		default:
-			s += a.Ws[i] * b.Ws[j]
-			i++
-			j++
-		}
-	}
-	return s
-}
-
-// Cosine returns the cosine similarity of two sparse vectors.
-func Cosine(a, b Vec) float64 {
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
-// JaccardSet returns set Jaccard over the non-zero dimensions.
-func JaccardSet(a, b Vec) float64 {
-	if len(a.IDs) == 0 && len(b.IDs) == 0 {
-		return 1
-	}
-	i, j, inter := 0, 0, 0
-	for i < len(a.IDs) && j < len(b.IDs) {
-		switch {
-		case a.IDs[i] < b.IDs[j]:
-			i++
-		case a.IDs[i] > b.IDs[j]:
-			j++
-		default:
-			inter++
-			i++
-			j++
-		}
-	}
-	union := len(a.IDs) + len(b.IDs) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// GeneralizedJaccard returns Σmin(w)/Σmax(w) over the weighted
-// dimensions.
-func GeneralizedJaccard(a, b Vec) float64 {
-	i, j := 0, 0
-	minSum, maxSum := 0.0, 0.0
-	for i < len(a.IDs) || j < len(b.IDs) {
-		switch {
-		case j >= len(b.IDs) || (i < len(a.IDs) && a.IDs[i] < b.IDs[j]):
-			maxSum += a.Ws[i]
-			i++
-		case i >= len(a.IDs) || a.IDs[i] > b.IDs[j]:
-			maxSum += b.Ws[j]
-			j++
-		default:
-			minSum += math.Min(a.Ws[i], b.Ws[j])
-			maxSum += math.Max(a.Ws[i], b.Ws[j])
-			i++
-			j++
-		}
-	}
-	if maxSum == 0 {
-		return 1
-	}
-	return minSum / maxSum
-}
-
 // gramInterner assigns dense gram ids in first-occurrence order without
 // materializing gram strings: char n-grams (n <= 4) key the rune window
 // directly (padded with an impossible rune for the short-string gram),
@@ -214,7 +136,7 @@ type gramInterner struct {
 const noRune rune = -1
 
 // emptyTokens distinguishes "pre-tokenized with zero tokens" from "not
-// pre-tokenized" (nil) in NewSpaceTokens.
+// pre-tokenized" (nil) in newSpace.
 var emptyTokens = make([]string, 0)
 
 func newGramInterner(mode Mode) *gramInterner {
@@ -334,7 +256,7 @@ type Space struct {
 	idf      []float64
 
 	// Memoized per-entity derived representations, built at most once
-	// (Sim historically recomputed the TF-IDF vectors on every pair).
+	// (the per-pair scalar path recomputed the TF-IDF vectors).
 	cacheOnce        sync.Once
 	tfidf1, tfidf2   []Vec
 	tfNorm1, tfNorm2 []float64 // L2 norms of the TF vectors
@@ -348,20 +270,11 @@ type Space struct {
 	postIDs  []int32
 }
 
-// NewSpace builds the space from the schema-agnostic texts of the two
-// collections (one string per entity).
-func NewSpace(mode Mode, texts1, texts2 []string) *Space {
-	return newSpace(mode, texts1, texts2, nil, nil)
-}
-
-// NewSpaceTokens is NewSpace with pre-tokenized texts for token modes:
-// toks1/toks2 must be strsim.Tokenize of each entity's text, letting the
-// paper's three token models share one tokenization pass. Char modes
-// ignore the token lists. The space is identical to NewSpace's.
-func NewSpaceTokens(mode Mode, texts1, texts2 []string, toks1, toks2 [][]string) *Space {
-	return newSpace(mode, texts1, texts2, toks1, toks2)
-}
-
+// newSpace builds the space from the schema-agnostic texts of the two
+// collections (one string per entity). toks1/toks2, when non-nil, must
+// be strsim.Tokenize of each entity's text, letting the paper's three
+// token models share one tokenization pass; char modes ignore them. The
+// space is the same either way.
 func newSpace(mode Mode, texts1, texts2 []string, toks1, toks2 [][]string) *Space {
 	s := &Space{Mode: mode}
 	in := newGramInterner(mode)
@@ -424,12 +337,6 @@ func (s *Space) addAll(in *gramInterner, texts []string, toks [][]string, df *[]
 	return docs
 }
 
-// N1 returns the number of entities in the first collection.
-func (s *Space) N1() int { return len(s.docs1) }
-
-// N2 returns the number of entities in the second collection.
-func (s *Space) N2() int { return len(s.docs2) }
-
 // TF returns the TF vector of entity i from the given collection (1 or 2).
 func (s *Space) TF(collection, i int) Vec {
 	if collection == 1 {
@@ -460,7 +367,7 @@ func (s *Space) tfidfOf(tf Vec) Vec {
 
 // ensureCache builds the memoized TF-IDF vectors and the TF/TF-IDF norms
 // of every entity. It runs at most once per Space (sync.Once), so both
-// the corpus fast path and ad-hoc Sim callers share one materialization.
+// every AllSims and TFIDF caller shares one materialization.
 func (s *Space) ensureCache() {
 	s.cacheOnce.Do(func() {
 		s.tfidf1 = make([]Vec, len(s.docs1))
@@ -491,38 +398,6 @@ func (s *Space) ensureCache() {
 	})
 }
 
-// ARCS sums log2 / log(DF1(k)·DF2(k)) over the grams shared by entity i
-// of collection 1 and entity j of collection 2: the rarer the shared
-// grams, the higher the similarity. Grams that appear only once in a
-// collection would zero the log, so frequencies are floored at 2, and the
-// result is capped at 1 after scaling by the smaller vector size, keeping
-// scores in [0,1] before the pipeline's min-max normalization.
-func (s *Space) ARCS(i, j int) float64 {
-	a, b := s.docs1[i], s.docs2[j]
-	if a.Len() == 0 || b.Len() == 0 {
-		return 0
-	}
-	s.ensureCache()
-	ii, jj, sum := 0, 0, 0.0
-	for ii < len(a.IDs) && jj < len(b.IDs) {
-		switch {
-		case a.IDs[ii] < b.IDs[jj]:
-			ii++
-		case a.IDs[ii] > b.IDs[jj]:
-			jj++
-		default:
-			sum += s.arcsW[a.IDs[ii]]
-			ii++
-			jj++
-		}
-	}
-	sim := sum / float64(min2(a.Len(), b.Len()))
-	if sim > 1 {
-		sim = 1
-	}
-	return sim
-}
-
 // Measure names for bag models, as used in the paper (Appendix B,
 // category 2): six measures combining ARCS, cosine and Jaccard variants
 // with TF or TF-IDF weights.
@@ -541,39 +416,6 @@ func Measures() []string {
 		MeasureARCS, MeasureCosineTF, MeasureCosineTFIDF,
 		MeasureJaccard, MeasureGenJacTF, MeasureGenJacTFIDF,
 	}
-}
-
-// Sim computes the named measure between entity i of collection 1 and
-// entity j of collection 2, using the memoized per-entity TF-IDF vectors
-// and norms (values are bit-identical to recomputing them per pair). It
-// panics on an unknown measure name, which indicates a programming error
-// in the caller's configuration.
-func (s *Space) Sim(measure string, i, j int) float64 {
-	s.ensureCache()
-	switch measure {
-	case MeasureARCS:
-		return s.ARCS(i, j)
-	case MeasureCosineTF:
-		return cosineNormed(s.docs1[i], s.docs2[j], s.tfNorm1[i], s.tfNorm2[j])
-	case MeasureCosineTFIDF:
-		return cosineNormed(s.tfidf1[i], s.tfidf2[j], s.wNorm1[i], s.wNorm2[j])
-	case MeasureJaccard:
-		return JaccardSet(s.docs1[i], s.docs2[j])
-	case MeasureGenJacTF:
-		return GeneralizedJaccard(s.docs1[i], s.docs2[j])
-	case MeasureGenJacTFIDF:
-		return GeneralizedJaccard(s.tfidf1[i], s.tfidf2[j])
-	default:
-		panic("vector: unknown measure " + measure)
-	}
-}
-
-// cosineNormed is Cosine with the norms precomputed.
-func cosineNormed(a, b Vec, na, nb float64) float64 {
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
 }
 
 // BuildPostings builds a CSR inverted index over per-item id lists:
@@ -657,27 +499,6 @@ func (s *Space) Candidates(j int, bits []uint64, dst []int32) []int32 {
 		bits = make([]uint64, (len(s.docs1)+63)/64)
 	}
 	return UnionCandidates(s.docs2[j].IDs, s.postOff, s.postIDs, bits, dst)
-}
-
-// CandidatePairs returns all (i, j) pairs that share at least one gram,
-// via the inverted index over collection 1. Pairs that share nothing
-// have similarity zero under every bag measure, so this enumerates
-// exactly the graph's potential edges. Pairs come back grouped by j with
-// i ascending; deduplication uses a reusable bitset instead of a
-// per-call hash set. It is the one-shot convenience over Candidates,
-// which per-row kernels (internal/simgraph) call directly to reuse the
-// bitset and emit rows in place.
-func (s *Space) CandidatePairs() [][2]int32 {
-	bits := make([]uint64, (len(s.docs1)+63)/64)
-	var buf []int32
-	var pairs [][2]int32
-	for j := range s.docs2 {
-		buf = s.Candidates(j, bits, buf)
-		for _, i := range buf {
-			pairs = append(pairs, [2]int32{i, int32(j)})
-		}
-	}
-	return pairs
 }
 
 func min2(a, b int) int {

@@ -177,8 +177,8 @@ func TestCandidatePairs(t *testing.T) {
 		}
 	}
 	// Completeness: every positive-similarity pair is a candidate.
-	for i := 0; i < s.N1(); i++ {
-		for j := 0; j < s.N2(); j++ {
+	for i := 0; i < len(s.docs1); i++ {
+		for j := 0; j < len(s.docs2); j++ {
 			if s.Sim(MeasureJaccard, i, j) > 0 && !got[[2]int32{int32(i), int32(j)}] {
 				t.Fatalf("pair (%d,%d) has positive similarity but is not a candidate", i, j)
 			}
@@ -225,26 +225,18 @@ func TestPropertyMeasureRange(t *testing.T) {
 	}
 }
 
-// goldenTexts are the schema-agnostic texts of the task that
-// internal/simgraph's golden test generates its graphs from.
-func goldenTexts(t *testing.T) (texts1, texts2 []string) {
-	t.Helper()
+// AllSims must equal the individual Sim calls bit for bit, on the small
+// test space and on the texts of the task internal/simgraph's golden
+// test generates from, under every mode: the golden test's dense loop
+// reads AllSims, so this is what pins the kernel to the definitions.
+func TestAllSimsConsistent(t *testing.T) {
 	spec, err := datagen.SpecByID("D2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := spec.Generate(3, 0.03)
-	return task.V1.Texts(), task.V2.Texts()
-}
-
-// AllSims must equal the individual Sim calls bit for bit, on the small
-// test space and on the golden task's texts under every mode: the
-// golden test's dense loop reads AllSims, so this is what pins the
-// kernel to the per-measure definitions.
-func TestAllSimsConsistent(t *testing.T) {
-	g1, g2 := goldenTexts(t)
+	golden := spec.Generate(3, 0.03)
 	for _, mode := range Modes() {
-		for _, s := range []*Space{newTestSpace(mode), NewSpace(mode, g1, g2)} {
+		for _, s := range []*Space{newTestSpace(mode), NewSpace(mode, golden.V1.Texts(), golden.V2.Texts())} {
 			for i := range s.docs1 {
 				for j := range s.docs2 {
 					all := s.AllSims(i, j)
@@ -274,8 +266,8 @@ func TestCacheAndCandidateOrder(t *testing.T) {
 			}
 		}
 	}
-	if len(c2) != s.N2() {
-		t.Fatalf("tfidf2 has %d entries, want %d", len(c2), s.N2())
+	if len(c2) != len(s.docs2) {
+		t.Fatalf("tfidf2 has %d entries, want %d", len(c2), len(s.docs2))
 	}
 	pairs := s.CandidatePairs()
 	seen := map[[2]int32]bool{}
@@ -371,7 +363,7 @@ func TestInternerMatchesStringVocab(t *testing.T) {
 			}
 			return out
 		}
-		st := NewSpaceTokens(mode, texts1, texts2, toks(texts1), toks(texts2))
+		st := newSpace(mode, texts1, texts2, toks(texts1), toks(texts2))
 		checkDocs(st.docs1, ref1, 1)
 		checkDocs(st.docs2, ref2, 2)
 	}

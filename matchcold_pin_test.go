@@ -5,8 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
-
-	"github.com/ccer-go/ccer/internal/core"
 )
 
 // matchColdPin is the FNV-1a checksum of every pair the eight matchers
@@ -25,7 +23,7 @@ func TestMatchersColdPin(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		_, frac := math.Modf(float64(i) * 0.6180339887498949)
 		thr := 0.1 + 0.5*frac
-		for _, m := range core.All(1) {
+		for _, m := range paperMatchers() {
 			pairs := m.Match(gs[i%len(gs)], thr)
 			h.Write([]byte(m.Name()))
 			binary.LittleEndian.PutUint64(buf[:8], uint64(len(pairs)))

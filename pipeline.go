@@ -27,12 +27,6 @@ func TokenBlocking(c1, c2 *Collection) []Block {
 	return blocking.TokenBlocking(c1, c2)
 }
 
-// AttributeBlocking indexes both collections by the tokens of one
-// attribute (standard blocking).
-func AttributeBlocking(c1, c2 *Collection, attr string) []Block {
-	return blocking.AttributeBlocking(c1, c2, attr)
-}
-
 // PurgeBlocks drops blocks generating more than maxComparisons
 // cross-pairs.
 func PurgeBlocks(blocks []Block, maxComparisons int64) []Block {
@@ -47,10 +41,6 @@ func FilterBlocks(blocks []Block, ratio float64) []Block {
 
 // BlockCandidates deduplicates the cross-pairs of the blocks.
 func BlockCandidates(blocks []Block) [][2]int32 { return blocking.Candidates(blocks) }
-
-// MetaBlocking prunes candidate pairs below the average
-// common-block-count weight (the WEP scheme).
-func MetaBlocking(blocks []Block) [][2]int32 { return blocking.MetaBlocking(blocks) }
 
 // EvaluateBlocking scores a candidate set against the ground truth.
 func EvaluateBlocking(cands [][2]int32, gt *GroundTruth, n1, n2 int) BlockingQuality {

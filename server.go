@@ -28,5 +28,7 @@ type Server = serve.Server
 // ServeConfig.DataDir set the store is durable: every acknowledged
 // mutation is journaled to disk first, and NewServer recovers the
 // committed graphs (checksum-verified) before serving. A recovery
-// error is returned rather than serving an incomplete store.
+// error is returned rather than serving an incomplete store. README
+// documents it for embedding the service in a program; erserve builds
+// its server through internal/serve.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
