@@ -412,9 +412,10 @@ func Measures() []string {
 // paper uses, each with fresh token-vector (and gram-/token-component)
 // caches attached. Embeddings are unchanged (the models are pure);
 // repeated tokens across a collection are hashed once instead of per
-// entity, and distinct tokens share their hashed n-gram windows. The caches live as long as the returned models, so
-// callers should scope them to one corpus build (or hold them in an
-// embed.RepCache for cross-build reuse).
+// entity, and distinct tokens share their hashed n-gram windows. The
+// caches live as long as the returned models, so callers should scope
+// them to one corpus build (or hold them in an embed.RepCache for
+// cross-build reuse).
 func CachedModels() []Model {
 	return []Model{
 		FastTextLike{Cache: NewVecCache(), GramCache: NewVecCache()},

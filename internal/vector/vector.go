@@ -255,8 +255,7 @@ type Space struct {
 	df1, df2 []int32
 	idf      []float64
 
-	// Memoized per-entity derived representations, built at most once
-	// (the per-pair scalar path recomputed the TF-IDF vectors).
+	// Memoized per-entity derived representations, built at most once.
 	cacheOnce        sync.Once
 	tfidf1, tfidf2   []Vec
 	tfNorm1, tfNorm2 []float64 // L2 norms of the TF vectors
