@@ -572,7 +572,8 @@ func (g *Bipartite) Validate() error {
 // must be an edge of its node with the edge's weight bits, and the
 // lists must hold as many entries as there are edges; strict order
 // within a list rules out a repeated entry, so together they hold each
-// edge exactly once.
+// edge exactly once. It is Validate's per-side half, test support like
+// Validate.
 func validateSide(a Adjacency, n int, v2 bool, weights map[int64]float64) error {
 	side := "V1"
 	if v2 {
