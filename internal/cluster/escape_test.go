@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"testing"
+	"time"
 
 	"github.com/ccer-go/ccer/internal/cluster"
 )
@@ -42,7 +43,9 @@ func send(t *testing.T, method, target, contentType string, body []byte) (int, [
 // does it (EdgeList, SyncPutEdgeList, SyncDelete). After every step the
 // backend must hold exactly the expected names at the expected
 // versions; the decoys are the names an unescaped path would reach
-// instead ("a?x" read as "a", "a%2Fb" as "a/b", and so on).
+// instead ("a?x" read as "a", "a%2Fb" as "a/b", and so on). Last, a
+// sweep id holding '?' is deleted through the router, which must not
+// reach the sweep its unescaped prefix names.
 func TestGraphNamesReachBackendsEscaped(t *testing.T) {
 	tc := newTestCluster(t, 1, cluster.RouterConfig{Replicas: 1, RepairInterval: -1})
 	backend := &cluster.Client{Base: tc.bases[0], MaxRetries: -1}
@@ -114,5 +117,36 @@ func TestGraphNamesReachBackendsEscaped(t *testing.T) {
 		}
 		delete(want, name)
 		check("sync delete " + name)
+	}
+
+	// A sweep id reaches the backend as itself too: deleting "sweep-1?z"
+	// through the router must not cancel sweep-1. The armed fault holds
+	// the sweep running until it is cancelled.
+	tc.faults[0].Set("sweep", time.Minute, nil, 1)
+	status, _, raw := postJSON(t, tc.front.URL+"/v1/sweeps", map[string]any{"graph": "a", "algorithms": []string{"UMC"}})
+	var sweep struct {
+		ID    string `json:"id"`
+		State string `json:"state"`
+	}
+	if status != http.StatusAccepted || json.Unmarshal(raw, &sweep) != nil || sweep.ID == "" {
+		t.Fatalf("sweep create: status %d, reply %s", status, raw)
+	}
+	state := func() string {
+		t.Helper()
+		if code := getJSON(t, tc.bases[0]+"/v1/sweeps/"+sweep.ID, &sweep); code != http.StatusOK {
+			t.Fatalf("sweep %s on the backend: status %d", sweep.ID, code)
+		}
+		return sweep.State
+	}
+	waitFor(t, 10*time.Second, "sweep running", func() bool { return state() == "running" })
+	target := tc.front.URL + "/v1/sweeps/" + url.PathEscape(sweep.ID+"?z")
+	if got, raw := send(t, http.MethodDelete, target, "", nil); got != http.StatusNotFound {
+		t.Fatalf("DELETE %s: status %d, reply %s; want 404", target, got, raw)
+	}
+	if s := state(); s != "running" {
+		t.Fatalf("sweep %s is %q after deleting %q, want running", sweep.ID, s, sweep.ID+"?z")
+	}
+	if got, raw := send(t, http.MethodDelete, tc.front.URL+"/v1/sweeps/"+sweep.ID, "", nil); got != http.StatusOK {
+		t.Fatalf("DELETE sweep %s: status %d, reply %s", sweep.ID, got, raw)
 	}
 }
