@@ -313,7 +313,8 @@ func TestBootHandler(t *testing.T) {
 // TestErserveRouterMode drives the full binary surface in cluster
 // formation: two backend erserve processes-worth of run() plus a router
 // run() fronting them, a write and a read through the router, the
-// cluster state endpoint, and a clean SIGINT teardown of all three.
+// cluster state endpoint, the router's -pprof routes, and a clean SIGINT
+// teardown of all three.
 func TestErserveRouterMode(t *testing.T) {
 	b1, b2, front := freeAddr(t), freeAddr(t), freeAddr(t)
 	done := make(chan error, 3)
@@ -324,7 +325,7 @@ func TestErserveRouterMode(t *testing.T) {
 	go func() {
 		done <- runWithArgs("-addr", front,
 			"-route", "http://"+b1+",http://"+b2,
-			"-replicas", "2", "-probe-interval", "50ms")
+			"-replicas", "2", "-probe-interval", "50ms", "-pprof")
 	}()
 	base := "http://" + front
 	waitHealthy(t, base)
@@ -379,6 +380,15 @@ func TestErserveRouterMode(t *testing.T) {
 		if !b.Ready || b.Breaker != "closed" {
 			t.Fatalf("backend %s not healthy in steady state: %+v", b.URL, cs)
 		}
+	}
+
+	resp, err = http.Get(base + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("router -pprof: /debug/pprof/cmdline status %d, want 200", resp.StatusCode)
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
