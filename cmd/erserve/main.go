@@ -18,7 +18,7 @@
 //	erserve -route URL1,URL2,... [-replicas N] [-probe-interval D]
 //	        [-probe-timeout D] [-breaker-threshold N] [-breaker-cooldown D]
 //	        [-hedge-after D] [-repair-interval D] [-repair-concurrency N]
-//	        [-addr :8080]
+//	        [-addr :8080] [-pprof]
 //
 // The service is overload-resilient by default: per-route deadlines
 // (504 + reason "deadline" past them), a bounded two-priority admission
@@ -47,7 +47,8 @@
 // backend set is live: POST/DELETE /v1/cluster/backends adds or removes
 // a node, migrating only the graphs whose rendezvous replica set
 // changed. GET /v1/cluster serves the live per-backend state plus the
-// repair counters and per-graph divergence.
+// repair counters and per-graph divergence. -pprof mounts the same
+// /debug/pprof/ routes on the router as on a node.
 //
 // Endpoints:
 //
@@ -232,6 +233,12 @@ func run(argv []string) error {
 		}
 		defer rt.Close()
 		httpSrv.Handler = rt.Handler()
+		if *pprofOn {
+			mux := http.NewServeMux()
+			serve.HandlePprof(mux)
+			mux.Handle("/", httpSrv.Handler)
+			httpSrv.Handler = mux
+		}
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
 			return err

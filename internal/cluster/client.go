@@ -4,30 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
-
-	"github.com/ccer-go/ccer/internal/resilience"
 )
 
 // APIError is a non-2xx reply from an erserve node, carrying the
-// structured error body (message plus the machine-readable shed-reason
-// vocabulary: queue_full, queue_timeout, degraded, sweep_backlog,
-// shutting_down, deadline) and the server's Retry-After hint when it
-// sent one.
+// structured error body: the message plus the machine-readable
+// shed-reason vocabulary (queue_full, queue_timeout, degraded,
+// sweep_backlog, shutting_down, deadline).
 type APIError struct {
-	Status     int
-	Reason     string
-	Message    string
-	RetryAfter time.Duration
+	Status  int
+	Reason  string
+	Message string
 }
 
 func (e *APIError) Error() string {
@@ -46,145 +38,25 @@ type Reply struct {
 	Body   []byte
 }
 
-// retryAfter parses the reply's Retry-After header (whole seconds, the
-// only form erserve emits); 0 when absent or unparseable.
-func (rp *Reply) retryAfter() time.Duration {
-	if rp == nil {
-		return 0
-	}
-	secs, err := strconv.Atoi(rp.Header.Get("Retry-After"))
-	if err != nil || secs <= 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
 // Client is a typed client for one erserve base URL (a node or a
-// router) with deadline-budgeted retries: transient failures — a
-// connection that never got a response started, or a 5xx/shed reply —
-// are retried under decorrelated-jitter exponential backoff until the
-// context expires or MaxRetries is spent, and a server-provided
-// Retry-After always overrides the computed backoff (the server knows
-// its own recovery horizon better than our jitter does).
-//
-// Retry safety is per-call: idempotent calls (ListSync, EdgeList and
-// the conditional sync writes, which apply only what is newer) retry on
-// any transient failure; a non-idempotent request retries a transport
-// error only when the connection was refused outright, meaning the
-// request provably never reached a server. A mutation that died
-// mid-flight is surfaced, not re-sent.
+// router). Every call is exactly one HTTP exchange under the caller's
+// context, and none is retried: the router fails a read over to the
+// next replica itself, and the repair loop retries a failed stream on
+// its next scan.
 type Client struct {
 	// Base is the server's base URL, e.g. "http://127.0.0.1:8080".
 	Base string
-	// HTTP is the transport; nil means http.DefaultClient. Deadlines
-	// come from the per-call context, not a client timeout.
-	HTTP *http.Client
-	// MaxRetries caps retries per call (attempts = MaxRetries+1).
-	// 0 means 3; negative disables retries entirely (the router does
-	// its own cross-backend failover and wants one attempt per node).
-	MaxRetries int
-	// RetryBase and RetryCap bound the backoff between attempts;
-	// 0 means 25ms base, 1s cap.
-	RetryBase time.Duration
-	RetryCap  time.Duration
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-func (c *Client) maxRetries() int {
-	switch {
-	case c.MaxRetries < 0:
-		return 0
-	case c.MaxRetries == 0:
-		return 3
-	}
-	return c.MaxRetries
-}
-
-// connRefused reports whether err is a transport error that proves the
-// request never reached a server process: the dial was refused (nothing
-// listening — the crashed-backend signature) or could not resolve a
-// route. Such failures are safe to retry even for mutations.
-func connRefused(err error) bool {
-	if errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ENETUNREACH) {
-		return true
-	}
-	var op *net.OpError
-	return errors.As(err, &op) && op.Op == "dial"
-}
-
-// retryable decides whether one attempt's outcome warrants another.
-func retryable(reply *Reply, err error, idempotent bool) bool {
-	if err != nil {
-		if idempotent {
-			return true // re-running a read is always safe
-		}
-		return connRefused(err)
-	}
-	switch {
-	case reply.Status == http.StatusServiceUnavailable:
-		// A shed: the server refused before doing the work, so a
-		// retry duplicates nothing regardless of idempotency.
-		return true
-	case reply.Status >= 500:
-		return idempotent
-	}
-	return false
-}
-
-// do runs one HTTP exchange against path with retries as described on
-// Client. A 2xx (or any non-retryable status, e.g. a 404 the caller
-// branches on) returns the reply; exhausted retries return the last
-// outcome — the reply for status failures, the error for transport
-// failures.
-func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, idempotent bool) (*Reply, error) {
-	base, cap := c.RetryBase, c.RetryCap
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = time.Second
-	}
-	bo := &resilience.Backoff{Base: base, Cap: cap}
-	var lastReply *Reply
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		reply, err := c.once(ctx, method, path, contentType, body)
-		if err == nil && !retryable(reply, nil, idempotent) {
-			return reply, nil
-		}
-		lastReply, lastErr = reply, err
-		if err != nil && !retryable(nil, err, idempotent) {
-			return nil, err
-		}
-		if attempt >= c.maxRetries() || ctx.Err() != nil {
-			break
-		}
-		// The server's Retry-After hint wins over computed backoff.
-		if ra := reply.retryAfter(); ra > 0 {
-			if resilience.SleepCtx(ctx, ra) != nil {
-				break
-			}
-			bo.Reset()
-			continue
-		}
-		if bo.Sleep(ctx) != nil {
-			break
-		}
-	}
-	if lastErr != nil {
-		return nil, fmt.Errorf("cluster: %s %s%s: %w", method, c.Base, path, lastErr)
-	}
-	return lastReply, nil
-}
-
-// once runs a single attempt.
-func (c *Client) once(ctx context.Context, method, path, contentType string, body []byte) (*Reply, error) {
+// do runs one HTTP exchange against path and returns the reply, whatever
+// its status, once its whole body has arrived. A body of declared length
+// up to maxBodyBytes is read into one buffer of exactly that length
+// rather than regrown from 512 bytes; a body of unknown length (a
+// streamed edge list, a chunked listing) or one declaring more than the
+// cap is read as it comes, so a bogus header cannot demand a giant
+// allocation. A body that ends early is an error, so the router fails
+// over instead of relaying a truncated reply.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) (*Reply, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -196,12 +68,18 @@ func (c *Client) once(ctx context.Context, method, path, contentType string, bod
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	var raw []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes {
+		raw = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, raw)
+	} else {
+		raw, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -218,12 +96,7 @@ func apiError(reply *Reply) error {
 	if er.Error == "" {
 		er.Error = strings.TrimSpace(string(reply.Body))
 	}
-	return &APIError{
-		Status:     reply.Status,
-		Reason:     er.Reason,
-		Message:    er.Error,
-		RetryAfter: reply.retryAfter(),
-	}
+	return &APIError{Status: reply.Status, Reason: er.Reason, Message: er.Error}
 }
 
 // decode unmarshals a 2xx reply into out (when non-nil), or surfaces
@@ -278,7 +151,7 @@ func graphPath(method, name, query string) string {
 
 // ListSync fetches the node's cheap sync listing.
 func (c *Client) ListSync(ctx context.Context) (*SyncListing, error) {
-	reply, err := c.do(ctx, http.MethodGet, "/v1/graphs?fields=sync", "", nil, true)
+	reply, err := c.do(ctx, http.MethodGet, "/v1/graphs?fields=sync", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +165,7 @@ func (c *Client) ListSync(ctx context.Context) (*SyncListing, error) {
 // EdgeList downloads a graph in the edge-list wire format — the bytes a
 // repair stream forwards verbatim to a stale replica.
 func (c *Client) EdgeList(ctx context.Context, name string) ([]byte, error) {
-	reply, err := c.do(ctx, http.MethodGet, graphPath(http.MethodGet, name, "format=edgelist"), "", nil, true)
+	reply, err := c.do(ctx, http.MethodGet, graphPath(http.MethodGet, name, "format=edgelist"), "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -304,11 +177,11 @@ func (c *Client) EdgeList(ctx context.Context, name string) ([]byte, error) {
 
 // SyncPutEdgeList uploads an edge list as name at exactly version (the
 // source replica's), via the conditional sync mode of POST /v1/graphs.
-// The server applies it only if it is genuinely newer, so the call is
-// idempotent and safe to retry; applied reports whether state changed.
+// The server applies it only if it is genuinely newer, so repeating the
+// call is harmless; applied reports whether state changed.
 func (c *Client) SyncPutEdgeList(ctx context.Context, name string, version int64, edgeList []byte) (applied bool, err error) {
 	path := graphPath(http.MethodPost, name, "sync_version="+strconv.FormatInt(version, 10))
-	reply, err := c.do(ctx, http.MethodPost, path, "text/plain", edgeList, true)
+	reply, err := c.do(ctx, http.MethodPost, path, "text/plain", edgeList)
 	if err != nil {
 		return false, err
 	}
@@ -323,7 +196,7 @@ func (c *Client) SyncPutEdgeList(ctx context.Context, name string, version int64
 // gone" is success, not a 404.
 func (c *Client) SyncDelete(ctx context.Context, name string, version int64) (applied bool, err error) {
 	path := graphPath(http.MethodDelete, name, "sync_version="+strconv.FormatInt(version, 10))
-	reply, err := c.do(ctx, http.MethodDelete, path, "", nil, true)
+	reply, err := c.do(ctx, http.MethodDelete, path, "", nil)
 	if err != nil {
 		return false, err
 	}
@@ -336,10 +209,9 @@ func (c *Client) SyncDelete(ctx context.Context, name string, version int64) (ap
 	return out.Applied, nil
 }
 
-// Ready probes GET /readyz once (no retries — a readiness probe wants
-// the node's state now, not its state after backoff).
+// Ready probes GET /readyz.
 func (c *Client) Ready(ctx context.Context) error {
-	reply, err := c.once(ctx, http.MethodGet, "/readyz", "", nil)
+	reply, err := c.do(ctx, http.MethodGet, "/readyz", "", nil)
 	if err != nil {
 		return err
 	}

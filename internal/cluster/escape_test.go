@@ -48,7 +48,7 @@ func send(t *testing.T, method, target, contentType string, body []byte) (int, [
 // reach the sweep its unescaped prefix names.
 func TestGraphNamesReachBackendsEscaped(t *testing.T) {
 	tc := newTestCluster(t, 1, cluster.RouterConfig{Replicas: 1, RepairInterval: -1})
-	backend := &cluster.Client{Base: tc.bases[0], MaxRetries: -1}
+	backend := &cluster.Client{Base: tc.bases[0]}
 	ctx := context.Background()
 	edges := []byte("2 2\n0 0 0.5\n1 1 0.75\n")
 	want := map[string]int64{}

@@ -1,5 +1,5 @@
 // Package cluster turns a set of independent erserve nodes into one
-// replicated service: a typed retrying client for the erserve JSON API,
+// replicated service: a typed client for the erserve JSON API,
 // per-backend health probing and circuit breaking, and a Router that
 // places graphs on replicas by rendezvous hashing, fans writes to the
 // replica set, reads from any healthy replica with hedging, and keeps

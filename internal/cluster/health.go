@@ -10,11 +10,11 @@ import (
 	"github.com/ccer-go/ccer/internal/resilience"
 )
 
-// backend is one erserve node as the router sees it: a retry-free
-// client (the router does its own cross-backend failover, so each node
-// gets exactly one attempt per routing decision) plus the node's health
-// state — the last readiness-probe verdict and a circuit breaker fed by
-// both probe outcomes and passive request outcomes.
+// backend is one erserve node as the router sees it: a client, whose
+// every call is one attempt (the router does its own cross-backend
+// failover), plus the node's health state — the last readiness-probe
+// verdict and a circuit breaker fed by both probe outcomes and passive
+// request outcomes.
 type backend struct {
 	base    string
 	client  *Client
@@ -34,7 +34,7 @@ type backend struct {
 func newBackend(base string, threshold int, cooldown time.Duration) *backend {
 	b := &backend{
 		base:    base,
-		client:  &Client{Base: base, MaxRetries: -1},
+		client:  &Client{Base: base},
 		breaker: &resilience.Breaker{Threshold: threshold, Cooldown: cooldown},
 	}
 	b.ready.Store(true)

@@ -3,12 +3,16 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/ccer-go/ccer/internal/obs"
@@ -619,7 +623,7 @@ type attemptOutcome struct {
 // failures and raw (non-shed) 5xx — both the backend's fault — from
 // sheds and client errors, which are the backend doing its job.
 func fire(ctx context.Context, ch chan<- attemptOutcome, b *backend, method, path, contentType string, body []byte) {
-	reply, err := b.client.do(ctx, method, path, contentType, body, false)
+	reply, err := b.client.do(ctx, method, path, contentType, body)
 	if err == nil {
 		b.observe(statusOf(reply))
 	} else {
@@ -723,7 +727,8 @@ func (rt *Router) routeRead(w http.ResponseWriter, r *http.Request, order []*bac
 }
 
 // maxBodyBytes caps buffered request bodies; the router buffers writes
-// to fan them out, matching the backends' own default cap.
+// to fan them out. It also caps the declared length that Client.do
+// allocates up front for a backend reply.
 const maxBodyBytes = 64 << 20
 
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -897,7 +902,7 @@ func (rt *Router) handleGraphList(w http.ResponseWriter, r *http.Request) {
 		if !b.Healthy() {
 			continue
 		}
-		reply, err := b.client.do(r.Context(), http.MethodGet, "/v1/graphs", "", nil, false)
+		reply, err := b.client.do(r.Context(), http.MethodGet, "/v1/graphs", "", nil)
 		b.observe(err)
 		if err != nil || reply.Status != http.StatusOK {
 			continue
@@ -938,6 +943,18 @@ func (rt *Router) handleGraphList(w http.ResponseWriter, r *http.Request) {
 	routerJSON(w, http.StatusOK, map[string]any{"graphs": graphs})
 }
 
+// connRefused reports whether err is a transport error that proves the
+// request never reached a server process: the dial was refused (nothing
+// listening — the crashed-backend signature) or could not resolve a
+// route.
+func connRefused(err error) bool {
+	if errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ENETUNREACH) {
+		return true
+	}
+	var op *net.OpError
+	return errors.As(err, &op) && op.Op == "dial"
+}
+
 func (rt *Router) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -960,7 +977,7 @@ func (rt *Router) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			rt.failovers.Inc()
 		}
-		reply, err := b.client.do(r.Context(), http.MethodPost, "/v1/sweeps", "application/json", body, false)
+		reply, err := b.client.do(r.Context(), http.MethodPost, "/v1/sweeps", "application/json", body)
 		if err != nil {
 			b.observe(err)
 			if connRefused(err) {
@@ -993,7 +1010,7 @@ func (rt *Router) handleSweepList(w http.ResponseWriter, r *http.Request) {
 		if !b.Healthy() {
 			continue
 		}
-		reply, err := b.client.do(r.Context(), http.MethodGet, "/v1/sweeps", "", nil, false)
+		reply, err := b.client.do(r.Context(), http.MethodGet, "/v1/sweeps", "", nil)
 		b.observe(err)
 		if err != nil || reply.Status != http.StatusOK {
 			continue
@@ -1019,11 +1036,11 @@ func (rt *Router) handleSweepList(w http.ResponseWriter, r *http.Request) {
 // handleSweepFan locates a sweep by id: ids are node-local, so ask
 // every backend in turn and relay the first non-404.
 func (rt *Router) handleSweepFan(w http.ResponseWriter, r *http.Request) {
-	path := "/v1/sweeps/" + r.PathValue("id")
+	path := "/v1/sweeps/" + url.PathEscape(r.PathValue("id"))
 	var fallback *Reply
 	_, bs := rt.snapshot()
 	for _, b := range bs {
-		reply, err := b.client.do(r.Context(), r.Method, path, "", nil, false)
+		reply, err := b.client.do(r.Context(), r.Method, path, "", nil)
 		if err != nil {
 			b.observe(err)
 			continue

@@ -31,11 +31,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	if s.cfg.EnablePprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		HandlePprof(s.mux)
 	}
 	s.mux.HandleFunc("POST /v1/graphs", s.handleGraphCreate)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphList)
@@ -48,6 +44,17 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
 	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
 	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
+}
+
+// HandlePprof mounts the net/http/pprof endpoints under /debug/pprof/
+// on mux: a node's routes with EnablePprof, and erserve's router mode
+// with -pprof.
+func HandlePprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
