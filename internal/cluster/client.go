@@ -81,7 +81,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 		raw, err = io.ReadAll(resp.Body)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: read reply to %s %s%s: %w", method, c.Base, path, err)
 	}
 	return &Reply{Status: resp.StatusCode, Header: resp.Header, Body: raw}, nil
 }

@@ -13,16 +13,14 @@ import (
 	"github.com/ccer-go/ccer/internal/cluster"
 )
 
-// relayGraph is the graph every relayed match read names.
-const relayGraph = "g"
-
 // relayFront starts a router over two stub backends and returns its
 // URL and the match reads each handler served. The preferred replica of
-// relayGraph answers POST /v1/match with first, the other with second;
+// graph "g" answers POST /v1/match with first, the other with second;
 // every other path, the router's /readyz probes among them, answers 200.
 func relayFront(tb testing.TB, first, second http.HandlerFunc) (string, *[2]atomic.Int64) {
 	tb.Helper()
 	var hits [2]atomic.Int64
+	handlers := [2]http.HandlerFunc{first, second}
 	bases := make([]string, 2)
 	roles := make([]int, 2)
 	for i := range bases {
@@ -31,12 +29,12 @@ func relayFront(tb testing.TB, first, second http.HandlerFunc) (string, *[2]atom
 				return
 			}
 			hits[roles[i]].Add(1)
-			[]http.HandlerFunc{first, second}[roles[i]](w, r)
+			handlers[roles[i]](w, r)
 		}))
 		tb.Cleanup(ts.Close)
 		bases[i] = ts.URL
 	}
-	if cluster.Replicas(relayGraph, bases, 2)[0] != bases[0] {
+	if cluster.Replicas("g", bases, 2)[0] != bases[0] {
 		roles[0] = 1
 	} else {
 		roles[1] = 1
