@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/ccer-go/ccer/internal/cluster"
 )
@@ -129,6 +130,53 @@ func TestRouterRelaysReplyBytes(t *testing.T) {
 				t.Fatalf("relaying a %d-byte reply allocated %d bytes", len(body), alloc)
 			}
 		})
+	}
+}
+
+// TestRouterRelaysHead: a HEAD through the router answers with the
+// backend's own status, for a graph that exists, one that does not and
+// a sweep id no backend holds. A backend answers a HEAD with the
+// Content-Length its GET body would have and no body; the router must
+// not take that for a body that ended early. So after more HEADs than
+// the breaker threshold, no backend's breaker has opened.
+func TestRouterRelaysHead(t *testing.T) {
+	tc := newTestCluster(t, 3, cluster.RouterConfig{Replicas: 2, RepairInterval: -1, ProbeInterval: time.Hour})
+	if got, raw := send(t, http.MethodPost, tc.front.URL+"/v1/graphs?name=g", "text/plain", []byte("2 2\n0 0 0.5\n1 1 0.75\n")); got != http.StatusCreated {
+		t.Fatalf("upload g: status %d, reply %s", got, raw)
+	}
+	for _, c := range []struct {
+		path   string
+		status int
+	}{
+		{"/v1/graphs/g", http.StatusOK},
+		{"/v1/graphs/missing", http.StatusNotFound},
+		{"/v1/sweeps/x", http.StatusNotFound},
+	} {
+		direct, err := http.Head(cluster.Replicas("g", tc.bases, 2)[0] + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct.Body.Close()
+		if direct.StatusCode != c.status || direct.ContentLength <= 0 {
+			t.Fatalf("HEAD %s on a backend: status %d, declared length %d; want %d and a length",
+				c.path, direct.StatusCode, direct.ContentLength, c.status)
+		}
+		for range 4 {
+			if got, raw := send(t, http.MethodHead, tc.front.URL+c.path, "", nil); got != c.status || len(raw) != 0 {
+				t.Fatalf("HEAD %s through the router: status %d, %d body bytes; want %d and none", c.path, got, len(raw), c.status)
+			}
+		}
+	}
+	var state struct {
+		Backends []cluster.BackendState `json:"backends"`
+	}
+	if code := getJSON(t, tc.front.URL+"/v1/cluster", &state); code != http.StatusOK || len(state.Backends) != 3 {
+		t.Fatalf("GET /v1/cluster: status %d, %d backends", code, len(state.Backends))
+	}
+	for _, b := range state.Backends {
+		if b.Breaker != "closed" || b.Opens != 0 {
+			t.Fatalf("backend %s: breaker %s, opened %d times; want closed, never opened", b.URL, b.Breaker, b.Opens)
+		}
 	}
 }
 
