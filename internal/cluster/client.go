@@ -54,8 +54,11 @@ type Client struct {
 // rather than regrown from 512 bytes; a body of unknown length (a
 // streamed edge list, a chunked listing) or one declaring more than the
 // cap is read as it comes, so a bogus header cannot demand a giant
-// allocation. A body that ends early is an error, so the router fails
-// over instead of relaying a truncated reply.
+// allocation. A reply to HEAD declares the length its GET body would
+// have but carries none, so it is read as it comes too: as an empty
+// body. The transport's body reader reports a body that ends before its
+// declared length as io.ErrUnexpectedEOF, so the router fails over
+// instead of relaying a truncated reply.
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) (*Reply, error) {
 	var rd io.Reader
 	if body != nil {
@@ -74,7 +77,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 	}
 	defer resp.Body.Close()
 	var raw []byte
-	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes {
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes && method != http.MethodHead {
 		raw = make([]byte, n)
 		_, err = io.ReadFull(resp.Body, raw)
 	} else {
