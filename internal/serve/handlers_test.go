@@ -1029,9 +1029,11 @@ func TestGraphSyncProtocol(t *testing.T) {
 }
 
 // matchReplyPins are sha256 digests (first 16 hex digits) of whole POST
-// /v1/match bodies, each request sent twice: the first reply computes
-// every matching, the second serves them all from the result cache.
-// Changing how a reply is rendered must leave every digest unchanged.
+// /v1/match bodies, each request sent three times: the first reply
+// computes every matching, the second serves them all from the result
+// cache, and the third serves them from the renderings and scores the
+// cache kept on the second. Changing how a reply is rendered must leave
+// every digest unchanged.
 var matchReplyPins = []struct {
 	graph      string
 	algorithms []string
@@ -1081,7 +1083,7 @@ func TestMatchReplyPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range []string{p.miss, p.hit} {
+		for _, want := range []string{p.miss, p.hit, p.hit} {
 			resp, err := http.Post(ts.URL+"/v1/match", "application/json", bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
