@@ -5,6 +5,8 @@ import (
 	"sync"
 
 	"github.com/ccer-go/ccer/internal/core"
+	"github.com/ccer-go/ccer/internal/dataset"
+	"github.com/ccer-go/ccer/internal/eval"
 )
 
 // CacheKey identifies one cached matching. Version (not just the graph
@@ -38,10 +40,14 @@ type cacheItem struct {
 	key   CacheKey
 	pairs []core.Pair
 	// rendered is pairs as a match reply's "pairs" array (appendPairs),
-	// kept from the entry's first hit on, so later hits copy it instead
-	// of formatting every pair again. nil until then: a matching that is
-	// never asked for twice is never rendered for the cache.
+	// and metrics are pairs scored against gt. Both are kept from the
+	// entry's first hit on, so later hits copy the rendering instead of
+	// formatting every pair again, and reuse the scores while their
+	// ground truth is gt. rendered is nil until then: a matching that is
+	// never asked for twice is never rendered or scored for the cache.
 	rendered []byte
+	metrics  eval.Metrics
+	gt       *dataset.GroundTruth
 }
 
 // NewResultCache returns a cache holding up to capacity matchings.
@@ -66,30 +72,36 @@ func (c *ResultCache) Get(k CacheKey) ([]core.Pair, bool) {
 }
 
 // getRendered is Get for the match handler: on a hit it also returns
-// the pairs rendered by appendPairs, rendering them on the entry's first
-// hit. Callers must not modify either returned slice.
-func (c *ResultCache) getRendered(k CacheKey) ([]core.Pair, []byte, bool) {
+// the pairs rendered by appendPairs and their metrics against gt,
+// rendering and scoring them on the entry's first hit, and scoring them
+// again on a hit against another ground truth. Callers must not modify
+// either returned slice.
+func (c *ResultCache) getRendered(k CacheKey, gt *dataset.GroundTruth) ([]core.Pair, []byte, eval.Metrics, bool) {
 	c.mu.Lock()
 	it := c.lookup(k)
 	if it == nil {
 		c.mu.Unlock()
-		return nil, nil, false
+		return nil, nil, eval.Metrics{}, false
 	}
-	pairs, rendered := it.pairs, it.rendered
+	pairs, rendered, m, scored := it.pairs, it.rendered, it.metrics, it.gt
 	c.mu.Unlock()
-	if rendered != nil {
-		return pairs, rendered, true
+	if rendered != nil && scored == gt {
+		return pairs, rendered, m, true
 	}
-	// Render outside the lock; two first hits racing both render, and
-	// either copy may stay. A Put that refreshed k meanwhile replaced the
-	// pairs, and their rendering is not this one.
-	rendered = appendPairs(nil, pairs)
+	// Render and score outside the lock; two first hits racing both do,
+	// and either result may stay. A Put that refreshed k meanwhile
+	// replaced the pairs, and this rendering and these scores are not
+	// theirs.
+	if rendered == nil {
+		rendered = appendPairs(nil, pairs)
+	}
+	m = eval.Evaluate(pairs, gt)
 	c.mu.Lock()
 	if len(it.pairs) == len(pairs) && (len(pairs) == 0 || &it.pairs[0] == &pairs[0]) {
-		it.rendered = rendered
+		it.rendered, it.metrics, it.gt = rendered, m, gt
 	}
 	c.mu.Unlock()
-	return pairs, rendered, true
+	return pairs, rendered, m, true
 }
 
 // lookup counts a hit or a miss for k and returns its item, marked most
@@ -107,7 +119,7 @@ func (c *ResultCache) lookup(k CacheKey) *cacheItem {
 
 // Put stores the pairs under k, evicting the least recently used entry
 // when the cache is full. Storing an existing key refreshes its value
-// and recency, and drops the old value's rendering.
+// and recency, and drops the old value's rendering and scores.
 func (c *ResultCache) Put(k CacheKey, pairs []core.Pair) {
 	if c.capacity < 1 {
 		return
@@ -116,7 +128,7 @@ func (c *ResultCache) Put(k CacheKey, pairs []core.Pair) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		it := el.Value.(*cacheItem)
-		it.pairs, it.rendered = pairs, nil
+		*it = cacheItem{key: k, pairs: pairs}
 		c.order.MoveToFront(el)
 		return
 	}

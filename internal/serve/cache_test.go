@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/ccer-go/ccer/internal/core"
+	"github.com/ccer-go/ccer/internal/dataset"
+	"github.com/ccer-go/ccer/internal/eval"
 )
 
 func key(graph string, version int64, algo string, t float64, seed int64) CacheKey {
@@ -84,7 +86,7 @@ func TestCachePutRefreshesValue(t *testing.T) {
 	c := NewResultCache(2)
 	k := key("g", 1, "A", 0, 1)
 	c.Put(k, pairs(1))
-	if _, rendered, ok := c.getRendered(k); !ok || string(rendered) != string(appendPairs(nil, pairs(1))) {
+	if _, rendered, _, ok := c.getRendered(k, nil); !ok || string(rendered) != string(appendPairs(nil, pairs(1))) {
 		t.Fatalf("first hit rendered %q, %v", rendered, ok)
 	}
 	c.Put(k, pairs(1, 2, 3))
@@ -93,7 +95,7 @@ func TestCachePutRefreshesValue(t *testing.T) {
 		t.Fatalf("refreshed Get = %v, %v", got, ok)
 	}
 	// The refresh dropped the old value's rendering.
-	if _, rendered, _ := c.getRendered(k); string(rendered) != string(appendPairs(nil, pairs(1, 2, 3))) {
+	if _, rendered, _, _ := c.getRendered(k, nil); string(rendered) != string(appendPairs(nil, pairs(1, 2, 3))) {
 		t.Fatalf("refreshed entry rendered %q", rendered)
 	}
 	if c.Len() != 1 {
@@ -104,12 +106,50 @@ func TestCachePutRefreshesValue(t *testing.T) {
 	}
 }
 
+// TestCacheScoresFollowGroundTruth hits one entry with one ground truth
+// and then another: each hit returns the scores against its own, and a
+// Put that refreshes the key drops the kept scores.
+func TestCacheScoresFollowGroundTruth(t *testing.T) {
+	c := NewResultCache(2)
+	k := key("g", 1, "A", 0, 1)
+	c.Put(k, pairs(1, 2))
+	gtA := dataset.NewGroundTruth([][2]int32{{1, 1}})         // one pair of two right
+	gtB := dataset.NewGroundTruth([][2]int32{{1, 1}, {2, 2}}) // both right
+	for _, hit := range []struct {
+		name string
+		gt   *dataset.GroundTruth
+		want eval.Metrics
+	}{
+		{"A", gtA, eval.Metrics{Precision: 0.5, Recall: 1, F1: 2.0 / 3}},
+		{"A again", gtA, eval.Metrics{Precision: 0.5, Recall: 1, F1: 2.0 / 3}},
+		{"B", gtB, eval.Metrics{Precision: 1, Recall: 1, F1: 1}},
+		{"none", nil, eval.Metrics{}},
+	} {
+		if _, _, m, ok := c.getRendered(k, hit.gt); !ok || m != hit.want {
+			t.Fatalf("hit with ground truth %s: scores %+v, %v, want %+v", hit.name, m, ok, hit.want)
+		}
+	}
+	c.getRendered(k, gtB)
+	c.Put(k, pairs(3))
+	c.mu.Lock()
+	it := c.items[k].Value.(*cacheItem)
+	kept, rendered, gt := it.metrics, it.rendered, it.gt
+	c.mu.Unlock()
+	if kept != (eval.Metrics{}) || rendered != nil || gt != nil {
+		t.Fatalf("refreshed entry kept scores %+v against %p and rendering %q, want none", kept, gt, rendered)
+	}
+	if _, _, m, _ := c.getRendered(k, gtB); m != (eval.Metrics{}) {
+		t.Fatalf("refreshed entry scored %+v against a ground truth that holds none of its pairs", m)
+	}
+}
+
 // TestCacheRenderedFollowsPairs races first hits against Puts that
-// refresh the key: every hit's rendering must be that of the pairs it
-// returns.
+// refresh the key: every hit's rendering and scores must be those of the
+// pairs it returns.
 func TestCacheRenderedFollowsPairs(t *testing.T) {
 	c := NewResultCache(4)
 	k := key("g", 1, "A", 0, 1)
+	gt := dataset.NewGroundTruth([][2]int32{{1, 1}, {4, 4}})
 	values := [][]core.Pair{pairs(1), pairs(1, 2), pairs(), pairs(3, 4, 5)}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -121,8 +161,13 @@ func TestCacheRenderedFollowsPairs(t *testing.T) {
 					c.Put(k, values[(g+i)%len(values)])
 					continue
 				}
-				if got, rendered, ok := c.getRendered(k); ok && string(rendered) != string(appendPairs(nil, got)) {
+				got, rendered, m, ok := c.getRendered(k, gt)
+				if ok && string(rendered) != string(appendPairs(nil, got)) {
 					t.Errorf("hit returned %v rendered as %q", got, rendered)
+					return
+				}
+				if want := eval.Evaluate(got, gt); ok && m != want {
+					t.Errorf("hit returned %v scored %+v, want %+v", got, m, want)
 					return
 				}
 			}

@@ -732,18 +732,32 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reply := matchReply{graph: e.Name, version: e.Version, threshold: threshold,
-		seed: normSeed(req.Seed), results: outcomes}
-	if e.GT != nil && e.GT.Len() > 0 {
-		reply.metrics = make([]eval.Metrics, len(outcomes))
+		seed: normSeed(req.Seed), results: outcomes, scored: e.GT != nil && e.GT.Len() > 0}
+	if reply.scored {
+		// A cached result comes scored; score only the fresh ones.
 		for i, o := range outcomes {
-			reply.metrics[i] = eval.Evaluate(o.Pairs, e.GT)
+			if !o.Cached {
+				outcomes[i].Metrics = eval.Evaluate(o.Pairs, e.GT)
+			}
 		}
 	}
-	body := reply.appendTo(make([]byte, 0, reply.maxLen()))
+	buf, _ := replyBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if n := reply.maxLen(); cap(*buf) < n {
+		*buf = make([]byte, 0, n)
+	}
+	body := reply.appendTo((*buf)[:0])
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body) // header is out; nothing useful left to do on error
+	// net/http keeps no reference to body once Write returns.
+	if cap(body) <= maxPooledReply {
+		*buf = body
+		replyBufs.Put(buf)
+	}
 }
 
 // sweepRequest is the body of POST /v1/sweeps.

@@ -1054,13 +1054,9 @@ var matchReplyPins = []struct {
 // a JSON string, and U+2028 is escaped as well.
 const pinGenerated = "d2<&>\u2028"
 
-// TestMatchReplyPins matches a generated graph (with ground truth, so
-// replies carry metrics) and two uploaded ones (without it: one with
-// weights that render in exponent form, one whose matchings are empty)
-// and compares each reply body's digest with its literal.
-func TestMatchReplyPins(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{})
-	generateD2(t, ts.URL, pinGenerated)
+// pinUploaded is the pins' graph "up": without ground truth, and with
+// weights that render in exponent form.
+func pinUploaded() *graph.Builder {
 	up := graph.NewBuilder(5, 5)
 	up.Add(0, 0, 0.9)
 	up.Add(1, 1, 1e-7)
@@ -1069,12 +1065,22 @@ func TestMatchReplyPins(t *testing.T) {
 	up.Add(4, 4, 1)
 	up.Add(0, 1, 0.5)
 	up.Add(3, 2, 0.75)
+	return up
+}
+
+// TestMatchReplyPins matches a generated graph (with ground truth, so
+// replies carry metrics) and two uploaded ones (without it: one with
+// weights that render in exponent form, one whose matchings are empty)
+// and compares each reply body's digest with its literal.
+func TestMatchReplyPins(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	generateD2(t, ts.URL, pinGenerated)
 	// Every edge of "low" is at or below the threshold it is matched at,
 	// so its replies carry empty pair lists.
 	low := graph.NewBuilder(2, 2)
 	low.Add(0, 0, 0.5)
 	low.Add(1, 0, 0.25)
-	postEdgeList(t, ts.URL+"/v1/graphs?name=up", up)
+	postEdgeList(t, ts.URL+"/v1/graphs?name=up", pinUploaded())
 	postEdgeList(t, ts.URL+"/v1/graphs?name=low", low)
 
 	for _, p := range matchReplyPins {
@@ -1102,4 +1108,71 @@ func TestMatchReplyPins(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMatchRequest posts raw bodies to POST /v1/match through the
+// handler of one server per process, which holds the pins' generated
+// graph (with ground truth) and their uploaded graph "up" (without it).
+// Every reply must be 200, 400 or 404; a rejection is JSON with a
+// non-empty error, and a 200 is JSON. Sending the same body again must
+// return the first reply's bytes with every result marked cached, which
+// holds the hit path (kept renderings and scores, pooled buffers) to
+// the miss path for any algorithm list, threshold and seed.
+func FuzzMatchRequest(f *testing.F) {
+	srv, err := serve.New(serve.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Close(ctx)
+	})
+	h := srv.Handler()
+	post := func(path, contentType string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	gen, err := json.Marshal(map[string]any{"name": pinGenerated, "dataset": "D2", "seed": 42, "scale": 0.02})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var up bytes.Buffer
+	if err := pinUploaded().MustBuild().WriteEdgeList(&up); err != nil {
+		f.Fatal(err)
+	}
+	if rec := post("/v1/graphs", "application/json", gen); rec.Code != http.StatusCreated {
+		f.Fatalf("generate: status %d: %s", rec.Code, rec.Body)
+	}
+	if rec := post("/v1/graphs?name=up", "text/plain", up.Bytes()); rec.Code != http.StatusCreated {
+		f.Fatalf("upload: status %d: %s", rec.Code, rec.Body)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		first := post("/v1/match", "application/json", body)
+		switch first.Code {
+		case http.StatusOK:
+			if !json.Valid(first.Body.Bytes()) {
+				t.Fatalf("%q: 200 with a body that is not JSON: %q", body, first.Body)
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(first.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("%q: status %d without a JSON error: %q", body, first.Code, first.Body)
+			}
+			return
+		default:
+			t.Fatalf("%q: status %d: %s", body, first.Code, first.Body)
+		}
+		want := bytes.ReplaceAll(first.Body.Bytes(), []byte(`"cached": false`), []byte(`"cached": true`))
+		again := post("/v1/match", "application/json", body)
+		if again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), want) {
+			t.Fatalf("%q: sent again, status %d and\n%s\nwant the first reply, cached:\n%s", body, again.Code, again.Body, want)
+		}
+	})
 }

@@ -3,10 +3,10 @@ package serve
 import (
 	"math"
 	"strconv"
+	"sync"
 	"unicode/utf8"
 
 	"github.com/ccer-go/ccer/internal/core"
-	"github.com/ccer-go/ccer/internal/eval"
 )
 
 // matchReply is the body of a POST /v1/match reply. appendTo renders it
@@ -19,9 +19,9 @@ type matchReply struct {
 	threshold float64
 	seed      int64
 	results   []matchOutcome
-	// metrics holds one entry per result; nil (no "metrics" objects)
-	// when the graph has no ground truth.
-	metrics []eval.Metrics
+	// scored renders each result's Metrics; false (no "metrics"
+	// objects) when the graph has no ground truth.
+	scored bool
 }
 
 // The fixed text around one rendered pair, at the depth the pairs of a
@@ -45,6 +45,15 @@ const (
 	maxPairsLen = len("[" + pairsEnd)
 	frameLen    = 512
 )
+
+// replyBufs holds match reply buffers (as *[]byte) between requests, so
+// that a reply served from the cache allocates no buffer of its size.
+// A buffer whose capacity passes maxPooledReply, four times the largest
+// reply a benchmark workload serves, is dropped instead of pooled, so
+// one huge reply does not stay resident.
+var replyBufs sync.Pool
+
+const maxPooledReply = 1 << 20
 
 // maxLen bounds len(r.appendTo(nil)).
 func (r *matchReply) maxLen() int {
@@ -87,8 +96,8 @@ func (r *matchReply) appendTo(b []byte) []byte {
 		} else {
 			b = appendPairs(b, o.Pairs)
 		}
-		if r.metrics != nil {
-			m := r.metrics[i]
+		if r.scored {
+			m := o.Metrics
 			b = append(b, ",\n      \"metrics\": {\n        \"precision\": "...)
 			b = appendFloat(b, m.Precision)
 			b = append(b, ",\n        \"recall\": "...)

@@ -70,11 +70,8 @@ func FuzzMatchReply(f *testing.F) {
 		}
 
 		n := 1 + int(results)%3
-		reply := matchReply{graph: graph, version: version, threshold: threshold, seed: seed}
+		reply := matchReply{graph: graph, version: version, threshold: threshold, seed: seed, scored: withMetrics}
 		want := matchResponse{Graph: graph, Version: version, Threshold: threshold, Seed: seed}
-		if withMetrics {
-			reply.metrics = make([]eval.Metrics, n)
-		}
 		for i := 0; i < n; i++ {
 			o := matchOutcome{Algorithm: algorithm, Cached: cached != (i%2 == 1)}
 			if i > 0 {
@@ -89,7 +86,7 @@ func FuzzMatchReply(f *testing.F) {
 			if withMetrics {
 				// Rotate the three values so results differ.
 				m := [3]float64{precision, recall, f1}
-				reply.metrics[i] = eval.Metrics{Precision: m[i], Recall: m[(i+1)%3], F1: m[(i+2)%3]}
+				o.Metrics = eval.Metrics{Precision: m[i], Recall: m[(i+1)%3], F1: m[(i+2)%3]}
 				res.Metrics = &metricsJSON{Precision: m[i], Recall: m[(i+1)%3], F1: m[(i+2)%3]}
 			}
 			reply.results = append(reply.results, o)

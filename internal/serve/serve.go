@@ -417,17 +417,20 @@ type matchOutcome struct {
 	Algorithm string
 	Pairs     []core.Pair
 	Cached    bool
-	// Rendered is Pairs as the reply renders them, kept by the result
-	// cache; nil on a miss.
+	// Rendered is Pairs as the reply renders them, and Metrics are Pairs
+	// scored against the graph's ground truth, both kept by the result
+	// cache; on a miss Rendered is nil and the handler scores Pairs.
 	Rendered []byte
+	Metrics  eval.Metrics
 }
 
 // matchBatch runs the named algorithms on the stored graph at the
 // threshold, serving individual matchings from the result cache where
 // possible and fanning the misses over the par pool (the same shape as
 // ccer.MatchConcurrent, so pairs are identical to sequential ccer.Match
-// calls at the same seed). Fresh matchings are inserted into the cache
-// before returning.
+// calls at the same seed). A cached matching comes with its scores
+// against e.GT. Fresh matchings are inserted into the cache before
+// returning.
 func (s *Server) matchBatch(ctx context.Context, e *GraphEntry, algorithms []string, threshold float64, seed int64) ([]matchOutcome, error) {
 	seed = normSeed(seed)
 	ms, err := algo.AllByName(algorithms, seed)
@@ -441,8 +444,8 @@ func (s *Server) matchBatch(ctx context.Context, e *GraphEntry, algorithms []str
 	out := make([]matchOutcome, len(algorithms))
 	todo := make([]int, 0, len(algorithms))
 	for i, name := range algorithms {
-		if pairs, rendered, ok := s.cache.getRendered(keyOf(name)); ok {
-			out[i] = matchOutcome{Algorithm: name, Pairs: pairs, Cached: true, Rendered: rendered}
+		if pairs, rendered, m, ok := s.cache.getRendered(keyOf(name), e.GT); ok {
+			out[i] = matchOutcome{Algorithm: name, Pairs: pairs, Cached: true, Rendered: rendered, Metrics: m}
 			continue
 		}
 		todo = append(todo, i)
