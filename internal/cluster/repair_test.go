@@ -134,11 +134,14 @@ func TestRouterRepairConvergesMissingReplica(t *testing.T) {
 			t.Fatalf("backend %s holds solo: %v, want %v", base, held, inPlacement[base])
 		}
 	}
-	var cs repairStateJSON
-	getJSON(t, tc.front.URL+"/v1/cluster", &cs)
-	if !cs.Repair.Enabled || cs.Repair.Scans < 1 || cs.Repair.GraphsRepaired < 1 || cs.Repair.Bytes < 1 {
-		t.Fatalf("repair state after convergence = %+v", cs.Repair)
-	}
+	// The router counts the repaired graph and its bytes once the stale
+	// replica's reply reaches it, which can be after the replica holds
+	// the graph.
+	waitFor(t, 5*time.Second, "repair counters advanced", func() bool {
+		var cs repairStateJSON
+		getJSON(t, tc.front.URL+"/v1/cluster", &cs)
+		return cs.Repair.Enabled && cs.Repair.Scans >= 1 && cs.Repair.GraphsRepaired >= 1 && cs.Repair.Bytes >= 1
+	})
 	waitFor(t, 2*time.Second, "divergence gauge drained", func() bool {
 		var cs repairStateJSON
 		getJSON(t, tc.front.URL+"/v1/cluster", &cs)
