@@ -1126,7 +1126,9 @@ func FuzzMatchRequest(f *testing.F) {
 	f.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		srv.Close(ctx)
+		if err := srv.Close(ctx); err != nil {
+			f.Errorf("server close: %v", err)
+		}
 	})
 	h := srv.Handler()
 	post := func(path, contentType string, body []byte) *httptest.ResponseRecorder {

@@ -97,13 +97,12 @@ func (r *matchReply) appendTo(b []byte) []byte {
 			b = appendPairs(b, o.Pairs)
 		}
 		if r.scored {
-			m := o.Metrics
 			b = append(b, ",\n      \"metrics\": {\n        \"precision\": "...)
-			b = appendFloat(b, m.Precision)
+			b = appendFloat(b, o.Metrics.Precision)
 			b = append(b, ",\n        \"recall\": "...)
-			b = appendFloat(b, m.Recall)
+			b = appendFloat(b, o.Metrics.Recall)
 			b = append(b, ",\n        \"f1\": "...)
-			b = appendFloat(b, m.F1)
+			b = appendFloat(b, o.Metrics.F1)
 			b = append(b, "\n      }"...)
 		}
 		b = append(b, "\n    }"...)
