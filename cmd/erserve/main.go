@@ -173,7 +173,6 @@ func run(argv []string) error {
 	parallel := fs.Int("parallel", 0, "workers inside one match batch or sweep grid (0 = all CPUs)")
 	maxBody := fs.Int64("max-body", 32<<20, "request body limit in bytes")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	repcache := fs.Int("repcache", 2, "cross-build representation cache size in resident datasets (negative disables)")
 	dataDir := fs.String("data-dir", "", "durable data directory: journal + snapshots; committed graphs survive crashes (empty = in-memory only)")
 	compactEvery := fs.Duration("compact-every", 0, "background snapshot/compaction period with -data-dir (0 = 60s, negative disables)")
 	traceSlowMS := fs.Int64("trace-slow-ms", 0, "log requests slower than this many milliseconds as structured JSON with stage timings (0 disables)")
@@ -260,26 +259,25 @@ func run(argv []string) error {
 	go func() { errc <- httpSrv.Serve(ln) }()
 
 	srv, err := serve.New(serve.Config{
-		CacheSize:        *cache,
-		JobWorkers:       *jobWorkers,
-		JobQueueDepth:    *queueDepth,
-		JobHistory:       *jobHistory,
-		MaxGraphNodes:    *maxNodes,
-		Parallelism:      *parallel,
-		MaxBodyBytes:     *maxBody,
-		EnablePprof:      *pprofOn,
-		RepCacheDatasets: *repcache,
-		DataDir:          *dataDir,
-		CompactEvery:     *compactEvery,
-		TraceSlow:        time.Duration(*traceSlowMS) * time.Millisecond,
-		AccessLog:        *accessLog,
-		TraceRing:        *traceRing,
-		MatchTimeout:     *matchTimeout,
-		GenerateTimeout:  *generateTimeout,
-		SweepTimeout:     *sweepTimeout,
-		AdmissionSlots:   *admissionSlots,
-		AdmissionDepth:   *admissionDepth,
-		AdmissionBudget:  *admissionBudget,
+		CacheSize:       *cache,
+		JobWorkers:      *jobWorkers,
+		JobQueueDepth:   *queueDepth,
+		JobHistory:      *jobHistory,
+		MaxGraphNodes:   *maxNodes,
+		Parallelism:     *parallel,
+		MaxBodyBytes:    *maxBody,
+		EnablePprof:     *pprofOn,
+		DataDir:         *dataDir,
+		CompactEvery:    *compactEvery,
+		TraceSlow:       time.Duration(*traceSlowMS) * time.Millisecond,
+		AccessLog:       *accessLog,
+		TraceRing:       *traceRing,
+		MatchTimeout:    *matchTimeout,
+		GenerateTimeout: *generateTimeout,
+		SweepTimeout:    *sweepTimeout,
+		AdmissionSlots:  *admissionSlots,
+		AdmissionDepth:  *admissionDepth,
+		AdmissionBudget: *admissionBudget,
 	})
 	if err != nil {
 		_ = httpSrv.Close()

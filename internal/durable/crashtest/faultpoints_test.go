@@ -10,7 +10,6 @@ import (
 	"github.com/ccer-go/ccer/internal/durable"
 	"github.com/ccer-go/ccer/internal/durable/crashtest"
 	"github.com/ccer-go/ccer/internal/graph"
-	"github.com/ccer-go/ccer/internal/repcache"
 )
 
 func testGraph(t testing.TB, weights ...float64) *graph.Bipartite {
@@ -63,9 +62,6 @@ func workload(t testing.TB, l *durable.Log, acked *ackedState) {
 		}
 	}
 	step(recOf("a", 1, g1), g1, nil)
-	// Reps are pure cache: spilled best-effort, not part of the
-	// exactness invariant, but their fs traffic adds crash points.
-	_ = l.WarmRep(repcache.Key{Hi: 11, Lo: 22}, []string{"x"}, []string{"y"})
 	step(recOf("b", 2, g2), g2, gt)
 	if err := l.DeleteGraph("a"); err == nil {
 		delete(acked.live, "a")

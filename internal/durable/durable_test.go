@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,7 +15,6 @@ import (
 	"github.com/ccer-go/ccer/internal/durable"
 	"github.com/ccer-go/ccer/internal/durable/crashtest"
 	"github.com/ccer-go/ccer/internal/graph"
-	"github.com/ccer-go/ccer/internal/repcache"
 )
 
 // testGraph builds a tiny bipartite graph whose content (and so its
@@ -75,9 +76,6 @@ func TestLogPutReopenRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	put(t, l, "a", 4, g3, nil) // overwrite: name a now holds g3
-	if err := l.WarmRep(keyOf(17), []string{"alpha", "beta"}, []string{"gamma"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +101,26 @@ func TestLogPutReopenRecovers(t *testing.T) {
 	if _, dead := byName["gone"]; dead {
 		t.Fatal("deleted graph resurrected")
 	}
-	if len(rec2.Reps) != 1 || rec2.Reps[0].Texts1[0] != "alpha" || rec2.Reps[0].Texts2[0] != "gamma" {
-		t.Fatalf("rep spill did not round-trip: %+v", rec2.Reps)
-	}
 }
 
-func keyOf(seed uint64) repcache.Key {
-	return repcache.Key{Hi: seed * 0x9e3779b97f4a7c15, Lo: seed ^ 0xabcdef}
+// TestFreshDirHasNoReps: a data directory holds the journal, the
+// manifest and the graph and ground-truth files, and nothing under the
+// reps/ directory older versions spilled representation-cache inputs
+// to.
+func TestFreshDirHasNoReps(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := durable.Open(durable.Config{Dir: dir, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGraph(t, 0.9)
+	put(t, l, "a", 1, g, dataset.NewGroundTruth([][2]int32{{0, 0}}))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "reps")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stat reps/ after open, put and close = %v, want not exist", err)
+	}
 }
 
 // TestLogTornTailDiscarded appends garbage (synced, so it survives the
@@ -298,39 +309,9 @@ func TestLogCorruptSnapshotRefusesOpen(t *testing.T) {
 	}
 }
 
-// TestLogCorruptRepSpillSkipped: a corrupt representation spill is pure
-// cache — recovery drops it and boots.
-func TestLogCorruptRepSpillSkipped(t *testing.T) {
-	mem := crashtest.NewMemFS()
-	l, _ := openLog(t, mem)
-	put(t, l, "a", 1, testGraph(t, 0.9), nil)
-	k := keyOf(3)
-	if err := l.WarmRep(k, []string{"x"}, []string{"y"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := mem.Create(fmt.Sprintf("data/reps/%016x%016x.reps", k.Hi, k.Lo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte("rot"))
-	f.Sync()
-	f.Close()
-
-	_, rec := openLog(t, mem)
-	if len(rec.Graphs) != 1 {
-		t.Fatalf("graph lost alongside rep spill: %+v", rec.Graphs)
-	}
-	if rec.RepsSkipped != 1 || len(rec.Reps) != 0 {
-		t.Fatalf("RepsSkipped = %d, Reps = %+v; want 1 skipped, none loaded", rec.RepsSkipped, rec.Reps)
-	}
-}
-
 // TestLogRandomOpsRecoverExactly is the Log-level property test: a
-// random mutation sequence (puts, deletes, overwrites, warm-reps, and
-// mid-stream compactions) applied through the Log recovers, from a
+// random mutation sequence (puts, deletes, overwrites and mid-stream
+// compactions) applied through the Log recovers, from a
 // crash-image clone of the filesystem, to exactly the reference model —
 // names, versions, checksums, tombstones, next-version counter.
 func TestLogRandomOpsRecoverExactly(t *testing.T) {

@@ -11,9 +11,9 @@
 //	graphs/<sum>.edges    graph snapshots (edge-list codec), named by
 //	                      their graph.Checksum fingerprint
 //	gts/<key>.json        ground-truth pair sets, content-hash named
-//	reps/<key>.reps       representation-cache spill (the attribute
-//	                      text columns a warm attrReps bundle was built
-//	                      from), named by the 128-bit repcache key
+//
+// Older versions also spilled representation-cache inputs to a reps/
+// directory; Open neither reads nor removes it, and it can be deleted.
 //
 // Every mutation commits by first making its content-addressed files
 // durable (write temp, fsync, rename, fsync dir), then appending one

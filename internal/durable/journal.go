@@ -78,9 +78,14 @@ func (r *frameReader) next() ([]byte, error) {
 
 // Record kinds.
 const (
-	recPut     = byte(1) // a graph became (or replaced) the value of a name
-	recDelete  = byte(2) // a name was removed
-	recRepWarm = byte(3) // a representation-cache entry became warm
+	recPut    = byte(1) // a graph became (or replaced) the value of a name
+	recDelete = byte(2) // a name was removed
+	// recLegacyRep marked a representation-cache entry warm in journals
+	// that older versions wrote (its payload is the entry's 128-bit
+	// key). Nothing writes it now; replay decodes it so the records
+	// framed after it are not dropped as a torn tail, and applies it as
+	// a no-op.
+	recLegacyRep = byte(3)
 )
 
 // GraphRecord is the durable metadata of one committed graph: everything
@@ -106,9 +111,8 @@ type GraphRecord struct {
 // record is one decoded journal record.
 type record struct {
 	kind  byte
-	graph GraphRecord  // recPut
-	name  string       // recDelete
-	key   repcache.Key // recRepWarm
+	graph GraphRecord // recPut
+	name  string      // recDelete
 }
 
 // byteWriter builds a record payload.
@@ -199,9 +203,6 @@ func encodeRecord(rec record) []byte {
 		w.str(g.Dataset)
 	case recDelete:
 		w.str(rec.name)
-	case recRepWarm:
-		w.u64(rec.key.Hi)
-		w.u64(rec.key.Lo)
 	}
 	return w.b
 }
@@ -239,9 +240,9 @@ func decodeRecord(payload []byte) (record, error) {
 		if rec.name == "" {
 			r.bad = true
 		}
-	case recRepWarm:
-		rec.key.Hi = r.u64()
-		rec.key.Lo = r.u64()
+	case recLegacyRep:
+		r.u64()
+		r.u64()
 	default:
 		return record{}, fmt.Errorf("durable: unknown record kind %d", rec.kind)
 	}

@@ -30,10 +30,6 @@ type Config struct {
 	// goroutine. 0 means 60s; negative disables background compaction
 	// (Compact can still be called explicitly).
 	CompactEvery time.Duration
-	// CompactRecords triggers a compaction once this many journal
-	// records accumulated since the last manifest, independent of the
-	// timer. 0 means 4096.
-	CompactRecords int
 	// Obs receives journal fsync and snapshot-write latency histograms;
 	// nil disables them (counters in Metrics are always maintained).
 	Obs *obs.Registry
@@ -46,11 +42,12 @@ func (c Config) withDefaults() Config {
 	if c.CompactEvery == 0 {
 		c.CompactEvery = time.Minute
 	}
-	if c.CompactRecords <= 0 {
-		c.CompactRecords = 4096
-	}
 	return c
 }
+
+// compactRecords nudges the compactor once this many journal records
+// accumulated since the last manifest, independent of its timer.
+const compactRecords = 4096
 
 // ErrLogFailed wraps the first journal append/fsync error; every later
 // mutation fails with it. After a failed append the tail of the active
@@ -70,20 +67,10 @@ type RecoveredGraph struct {
 	GT     *dataset.GroundTruth // nil when the record has none
 }
 
-// RecoveredRep is one spilled representation-cache entry: the attribute
-// text columns the warm bundle was derived from, keyed by the cache's
-// 128-bit content hash.
-type RecoveredRep struct {
-	Key            repcache.Key
-	Texts1, Texts2 []string
-}
-
 // Recovered is the committed state replayed at Open.
 type Recovered struct {
 	// Graphs holds every live graph, sorted by ascending version.
 	Graphs []RecoveredGraph
-	// Reps holds the reloadable representation-cache spill entries.
-	Reps []RecoveredRep
 	// NextVersion is the highest version ever committed (including
 	// deleted and overwritten entries); the store resumes from it so
 	// versions stay monotonic across restarts.
@@ -92,9 +79,6 @@ type Recovered struct {
 	JournalRecords int64
 	// TornSegments counts segments whose tail was discarded as torn.
 	TornSegments int
-	// RepsSkipped counts spill entries dropped as unreadable (a cache
-	// loses nothing but warmth).
-	RepsSkipped int
 }
 
 // Metrics is the counter set surfaced on /metrics.
@@ -126,7 +110,6 @@ type Log struct {
 	err         error // sticky journal failure (ErrLogFailed cause)
 	closed      bool
 	live        map[string]GraphRecord
-	reps        map[repcache.Key]bool
 	nextVersion int64
 	seg         File  // active journal segment
 	segSeq      int64 // its sequence number
@@ -151,24 +134,21 @@ type Log struct {
 func (l *Log) walDir() string    { return filepath.Join(l.dir, "wal") }
 func (l *Log) graphsDir() string { return filepath.Join(l.dir, "graphs") }
 func (l *Log) gtsDir() string    { return filepath.Join(l.dir, "gts") }
-func (l *Log) repsDir() string   { return filepath.Join(l.dir, "reps") }
 
 func graphFileName(checksum uint64) string { return fmt.Sprintf("%016x.edges", checksum) }
-func keyFileName(k repcache.Key, ext string) string {
-	return fmt.Sprintf("%016x%016x%s", k.Hi, k.Lo, ext)
-}
-func segFileName(seq int64) string      { return fmt.Sprintf("wal-%010d.log", seq) }
-func manifestFileName(seq int64) string { return fmt.Sprintf("MANIFEST-%010d", seq) }
+func gtFileName(k repcache.Key) string     { return fmt.Sprintf("%016x%016x.json", k.Hi, k.Lo) }
+func segFileName(seq int64) string         { return fmt.Sprintf("wal-%010d.log", seq) }
+func manifestFileName(seq int64) string    { return fmt.Sprintf("MANIFEST-%010d", seq) }
 
 // manifestJSON is the on-disk snapshot of the committed state. Scale
 // round-trips exactly: encoding/json emits the shortest representation
-// that parses back to the same float64.
+// that parses back to the same float64. The "reps" list that older
+// versions wrote is an unknown field here, and ignored.
 type manifestJSON struct {
 	Seq         int64           `json:"seq"`
 	NextVersion int64           `json:"next_version"`
 	WalFloor    int64           `json:"wal_floor"`
 	Graphs      []manifestGraph `json:"graphs"`
-	Reps        []string        `json:"reps,omitempty"`
 }
 
 type manifestGraph struct {
@@ -210,7 +190,6 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 		fs:        cfg.FS,
 		dir:       cfg.Dir,
 		live:      map[string]GraphRecord{},
-		reps:      map[repcache.Key]bool{},
 		compactCh: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
@@ -218,7 +197,7 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 		"Latency of one journal record append+fsync.")
 	l.snapshotHist = cfg.Obs.Histogram("ccer_snapshot_write_seconds",
 		"Latency of one durable content-file write (tmp, fsync, rename, dir sync).")
-	for _, d := range []string{l.dir, l.walDir(), l.graphsDir(), l.gtsDir(), l.repsDir()} {
+	for _, d := range []string{l.dir, l.walDir(), l.graphsDir(), l.gtsDir()} {
 		if err := l.fs.MkdirAll(d); err != nil {
 			return nil, nil, fmt.Errorf("durable: mkdir %s: %w", d, err)
 		}
@@ -257,13 +236,6 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 			}
 			l.live[gr.Name] = gr
 		}
-		for _, rk := range manifest.Reps {
-			k, err := parseHexKey(rk)
-			if err != nil {
-				return nil, nil, fmt.Errorf("durable: manifest rep: %w", err)
-			}
-			l.reps[k] = true
-		}
 	}
 
 	// Replay journal segments at or above the manifest's floor, in
@@ -291,8 +263,8 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 		rec.JournalRecords += int64(len(recs))
 	}
 
-	// Load and verify every live graph, plus the ground truths and
-	// representation spill they reference.
+	// Load and verify every live graph, plus the ground truths they
+	// reference.
 	gts := map[repcache.Key]*dataset.GroundTruth{}
 	for _, gr := range l.sortedLive() {
 		g, err := l.loadGraph(gr)
@@ -312,17 +284,6 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 			rg.GT = gt
 		}
 		rec.Graphs = append(rec.Graphs, rg)
-	}
-	for _, k := range l.sortedRepKeys() {
-		texts1, texts2, err := l.loadRep(k)
-		if err != nil {
-			// A spill entry is pure cache: drop it rather than refuse
-			// to boot, but forget it so compaction stops referencing it.
-			delete(l.reps, k)
-			rec.RepsSkipped++
-			continue
-		}
-		rec.Reps = append(rec.Reps, RecoveredRep{Key: k, Texts1: texts1, Texts2: texts2})
 	}
 	rec.NextVersion = l.nextVersion
 
@@ -354,6 +315,7 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 }
 
 // applyLocked folds one journal record into the committed-state view.
+// A recLegacyRep record changes nothing.
 func (l *Log) applyLocked(r record) {
 	switch r.kind {
 	case recPut:
@@ -363,8 +325,6 @@ func (l *Log) applyLocked(r record) {
 		}
 	case recDelete:
 		delete(l.live, r.name)
-	case recRepWarm:
-		l.reps[r.key] = true
 	}
 }
 
@@ -374,20 +334,6 @@ func (l *Log) sortedLive() []GraphRecord {
 		out = append(out, gr)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
-	return out
-}
-
-func (l *Log) sortedRepKeys() []repcache.Key {
-	out := make([]repcache.Key, 0, len(l.reps))
-	for k := range l.reps {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hi != out[j].Hi {
-			return out[i].Hi < out[j].Hi
-		}
-		return out[i].Lo < out[j].Lo
-	})
 	return out
 }
 
@@ -438,28 +384,6 @@ func (l *Log) DeleteGraph(name string) error {
 	return nil
 }
 
-// WarmRep spills one representation-cache entry: the input text columns
-// are written content-addressed under key, then the key is journaled.
-// Re-spilling a live key is a no-op.
-func (l *Log) WarmRep(key repcache.Key, texts1, texts2 []string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.usableLocked(); err != nil {
-		return err
-	}
-	if l.reps[key] {
-		return nil
-	}
-	if err := l.ensureRepFile(key, texts1, texts2); err != nil {
-		return err
-	}
-	if err := l.appendLocked(record{kind: recRepWarm, key: key}); err != nil {
-		return err
-	}
-	l.applyLocked(record{kind: recRepWarm, key: key})
-	return nil
-}
-
 func (l *Log) usableLocked() error {
 	if l.closed {
 		return errors.New("durable: log closed")
@@ -486,7 +410,7 @@ func (l *Log) appendLocked(r record) error {
 	l.fsyncHist.Since(start)
 	l.journalRecords.Add(1)
 	l.since++
-	if l.since >= int64(l.cfg.CompactRecords) {
+	if l.since >= compactRecords {
 		select {
 		case l.compactCh <- struct{}{}:
 		default:
@@ -559,26 +483,10 @@ func gtKey(gt *dataset.GroundTruth) repcache.Key {
 }
 
 func (l *Log) ensureGTFile(key repcache.Key, gt *dataset.GroundTruth) error {
-	return l.writeContentFile(l.gtsDir(), keyFileName(key, ".json"), func(w io.Writer) error {
+	return l.writeContentFile(l.gtsDir(), gtFileName(key), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(struct {
 			Pairs [][2]int32 `json:"pairs"`
 		}{Pairs: gt.Pairs})
-	})
-}
-
-func (l *Log) ensureRepFile(key repcache.Key, texts1, texts2 []string) error {
-	return l.writeContentFile(l.repsDir(), keyFileName(key, ".reps"), func(w io.Writer) error {
-		var bw byteWriter
-		bw.u64(uint64(len(texts1)))
-		for _, s := range texts1 {
-			bw.str(s)
-		}
-		bw.u64(uint64(len(texts2)))
-		for _, s := range texts2 {
-			bw.str(s)
-		}
-		_, err := w.Write(bw.b)
-		return err
 	})
 }
 
@@ -610,47 +518,21 @@ func (l *Log) loadGraph(gr GraphRecord) (*graph.Bipartite, error) {
 }
 
 func (l *Log) loadGT(key repcache.Key) (*dataset.GroundTruth, error) {
-	data, err := l.readFile(filepath.Join(l.gtsDir(), keyFileName(key, ".json")))
+	data, err := l.readFile(filepath.Join(l.gtsDir(), gtFileName(key)))
 	if err != nil {
-		return nil, fmt.Errorf("ground truth %s missing: %w", keyFileName(key, ".json"), err)
+		return nil, fmt.Errorf("ground truth %s missing: %w", gtFileName(key), err)
 	}
 	var parsed struct {
 		Pairs [][2]int32 `json:"pairs"`
 	}
 	if err := json.Unmarshal(data, &parsed); err != nil {
-		return nil, fmt.Errorf("ground truth %s corrupt: %w", keyFileName(key, ".json"), err)
+		return nil, fmt.Errorf("ground truth %s corrupt: %w", gtFileName(key), err)
 	}
 	gt := dataset.NewGroundTruth(parsed.Pairs)
 	if got := gtKey(gt); got != key {
-		return nil, fmt.Errorf("ground truth %s fails its content hash", keyFileName(key, ".json"))
+		return nil, fmt.Errorf("ground truth %s fails its content hash", gtFileName(key))
 	}
 	return gt, nil
-}
-
-func (l *Log) loadRep(key repcache.Key) (texts1, texts2 []string, err error) {
-	data, err := l.readFile(filepath.Join(l.repsDir(), keyFileName(key, ".reps")))
-	if err != nil {
-		return nil, nil, err
-	}
-	r := byteReader{b: data}
-	read := func() []string {
-		n := r.u64()
-		if r.bad || n > uint64(len(r.b)) {
-			r.bad = true
-			return nil
-		}
-		out := make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			out = append(out, r.str())
-		}
-		return out
-	}
-	texts1 = read()
-	texts2 = read()
-	if !r.done() {
-		return nil, nil, fmt.Errorf("durable: rep spill %s corrupt", keyFileName(key, ".reps"))
-	}
-	return texts1, texts2, nil
 }
 
 func (l *Log) readCurrentManifest() (*manifestJSON, error) {
@@ -696,7 +578,7 @@ func (l *Log) listSegments() (seqs []int64, max int64, err error) {
 
 // removeStrayTmp deletes half-written temp files a crash left behind.
 func (l *Log) removeStrayTmp() {
-	for _, d := range []string{l.dir, l.graphsDir(), l.gtsDir(), l.repsDir()} {
+	for _, d := range []string{l.dir, l.graphsDir(), l.gtsDir()} {
 		names, err := l.fs.ReadDir(d)
 		if err != nil {
 			continue
@@ -769,9 +651,6 @@ func (l *Log) compactLocked() error {
 		}
 		m.Graphs = append(m.Graphs, mg)
 	}
-	for _, k := range l.sortedRepKeys() {
-		m.Reps = append(m.Reps, fmt.Sprintf("%016x%016x", k.Hi, k.Lo))
-	}
 	raw, err := json.MarshalIndent(&m, "", " ")
 	if err != nil {
 		return err
@@ -838,13 +717,10 @@ func (l *Log) gcLocked() {
 	for _, gr := range l.live {
 		keep[graphFileName(gr.Checksum)] = true
 		if gr.HasGT {
-			keep[keyFileName(gr.GTRef, ".json")] = true
+			keep[gtFileName(gr.GTRef)] = true
 		}
 	}
-	for k := range l.reps {
-		keep[keyFileName(k, ".reps")] = true
-	}
-	for _, d := range []string{l.graphsDir(), l.gtsDir(), l.repsDir()} {
+	for _, d := range []string{l.graphsDir(), l.gtsDir()} {
 		names, err := l.fs.ReadDir(d)
 		if err != nil {
 			continue
@@ -871,11 +747,8 @@ func (l *Log) refreshSnapshotBytes() {
 		add(filepath.Join(l.graphsDir(), graphFileName(gr.Checksum)))
 		if gr.HasGT && !seenGT[gr.GTRef] {
 			seenGT[gr.GTRef] = true
-			add(filepath.Join(l.gtsDir(), keyFileName(gr.GTRef, ".json")))
+			add(filepath.Join(l.gtsDir(), gtFileName(gr.GTRef)))
 		}
-	}
-	for k := range l.reps {
-		add(filepath.Join(l.repsDir(), keyFileName(k, ".reps")))
 	}
 	if l.manifestSeq > 0 {
 		add(filepath.Join(l.dir, manifestFileName(l.manifestSeq)))

@@ -13,17 +13,22 @@ import (
 	"github.com/ccer-go/ccer/internal/graph"
 )
 
-// legacyRepFrame frames a kind-3 record as older versions journaled it
+// legacyRepPayload is a kind-3 record as older versions journaled it
 // when an attribute-profile bundle became warm: the kind byte, then the
 // bundle's 128-bit content key as two little-endian u64s. Built by hand
 // so the test keeps the format pinned whatever the encoder writes.
-func legacyRepFrame(t testing.TB, hi, lo uint64) []byte {
-	t.Helper()
+func legacyRepPayload(hi, lo uint64) []byte {
 	var w byteWriter
 	w.u8(3)
 	w.u64(hi)
 	w.u64(lo)
-	return frameOfRaw(t, w.b)
+	return w.b
+}
+
+// legacyRepFrame frames legacyRepPayload.
+func legacyRepFrame(t testing.TB, hi, lo uint64) []byte {
+	t.Helper()
+	return frameOfRaw(t, legacyRepPayload(hi, lo))
 }
 
 // legacyRepFile is the content of a reps/<key>.reps file: each text

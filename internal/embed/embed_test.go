@@ -343,9 +343,9 @@ func TestRepCacheEviction(t *testing.T) {
 }
 
 // TestNewRepCacheAllocatesLazily pins that the bounded vector caches
-// grow with use: NewRepCache(16), the cache erserve's default
-// -repcache 2 builds, once reserved 2^19 map slots in each of four
-// maps (about 175 MB) before its first request.
+// grow with use: NewRepCache(16), the cache erserve's
+// simgraph.NewRepCaches(2) builds, once reserved 2^19 map slots in each
+// of four maps (about 175 MB) before its first request.
 func TestNewRepCacheAllocatesLazily(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

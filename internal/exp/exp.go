@@ -51,10 +51,6 @@ type Config struct {
 	// Run-time measurements pick up scheduler noise under parallelism,
 	// so use 1 when timing.
 	Parallelism int
-	// RepCaches, when non-nil, lets repeated corpus builds share the
-	// cross-build representation caches (byte-identical output; the
-	// caches are pure-function memoization).
-	RepCaches *simgraph.RepCaches
 }
 
 func (c Config) scale() float64 {
@@ -184,7 +180,6 @@ func BuildCorpusCtx(ctx context.Context, cfg Config) (*Corpus, error) {
 			simgraph.Options{
 				Families:    cfg.Families,
 				Parallelism: cfg.Parallelism,
-				Caches:      cfg.RepCaches,
 			})
 		for _, f := range simgraph.Families() {
 			fs := gstats.Of(f)

@@ -78,9 +78,8 @@ func (h *Hasher) Key() Key { return Key{Hi: h.hi, Lo: h.lo} }
 type entry[V any] struct {
 	once sync.Once
 	val  V
-	ok   bool        // set only after build returned normally
-	done atomic.Bool // ok, readable without holding the entry's once
-	used int64       // LRU stamp, updated under the cache mutex
+	ok   bool  // set only after build returned normally
+	used int64 // LRU stamp, updated under the cache mutex
 }
 
 // Cache is a bounded content-addressed cache. The zero value is not
@@ -144,7 +143,6 @@ func (c *Cache[V]) GetOrBuild(key Key, build func() V) (V, bool) {
 		}()
 		e.val = build()
 		e.ok = true
-		e.done.Store(true)
 	})
 	if !e.ok {
 		// The winning builder panicked; its entry is gone. Build
@@ -169,30 +167,6 @@ func (c *Cache[V]) evictLocked(keep Key) {
 	if best >= 0 {
 		delete(c.m, victim)
 		c.evictions.Add(1)
-	}
-}
-
-// Range calls f with every fully-built resident entry, in no
-// particular order, without extending any entry's recency. Entries
-// whose build is still in flight are skipped (their value is not yet
-// readable); the release/acquire pair on the entry's done flag makes a
-// visited value safe to read. Used by the durable layer to spill the
-// warm set.
-func (c *Cache[V]) Range(f func(Key, V)) {
-	c.mu.Lock()
-	type kv struct {
-		k Key
-		e *entry[V]
-	}
-	resident := make([]kv, 0, len(c.m))
-	for k, e := range c.m {
-		resident = append(resident, kv{k, e})
-	}
-	c.mu.Unlock()
-	for _, r := range resident {
-		if r.e.done.Load() {
-			f(r.k, r.e.val)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/ccer-go/ccer/internal/durable"
-	"github.com/ccer-go/ccer/internal/simgraph"
 )
 
 // logPersister adapts the durable log to the Store's Persister hook:
@@ -31,9 +30,8 @@ func (p logPersister) PersistDelete(name string) error {
 
 // openDurable mounts the data directory, preloads the store with the
 // recovered committed state (every graph already verified against its
-// record checksum by durable.Open), rewarms the representation caches
-// from the spilled inputs, and attaches the persister so subsequent
-// mutations are journaled.
+// record checksum by durable.Open), and attaches the persister so
+// subsequent mutations are journaled.
 func (s *Server) openDurable() error {
 	log, rec, err := durable.Open(durable.Config{
 		Dir:          s.cfg.DataDir,
@@ -60,36 +58,7 @@ func (s *Server) openDurable() error {
 		})
 	}
 	s.store.Load(entries)
-	if s.reps != nil {
-		for _, rp := range rec.Reps {
-			// The spilled inputs are content-addressed: a key mismatch
-			// means the file does not hold what the record promised, and
-			// a cache entry rebuilt from it would be wrong, not just
-			// cold. Skip it.
-			if simgraph.AttrKey(rp.Texts1, rp.Texts2) != rp.Key {
-				continue
-			}
-			if s.reps.WarmAttrs(rp.Texts1, rp.Texts2) {
-				s.repReloaded.Add(1)
-			}
-		}
-	}
 	s.store.SetPersister(logPersister{log: log})
 	s.log = log
 	return nil
-}
-
-// persistWarmReps spills representation-cache entries that became warm
-// during a generation request. Spill keys already journaled are
-// deduplicated by the log. Best-effort: the graphs themselves committed
-// through the store's persister; losing cache warmth on a failure here
-// costs rebuild time after the next restart, not correctness — so a
-// generation response is never failed over it.
-func (s *Server) persistWarmReps() {
-	if s.log == nil || s.reps == nil {
-		return
-	}
-	for _, w := range s.reps.WarmAttrEntries() {
-		_ = s.log.WarmRep(w.Key, w.Texts1, w.Texts2)
-	}
 }

@@ -14,14 +14,13 @@ import (
 // durableMetricsJSON picks out the durability and cache counters of
 // /metrics that the integration tests below assert on.
 type durableMetricsJSON struct {
-	GraphsStored          int   `json:"graphs_stored"`
-	CacheSize             int   `json:"cache_size"`
-	CacheEvictionsTotal   int64 `json:"cache_evictions_total"`
-	JournalRecordsTotal   int64 `json:"journal_records_total"`
-	RecoveryNS            int64 `json:"recovery_ns"`
-	SnapshotBytes         int64 `json:"snapshot_bytes"`
-	CompactionsTotal      int64 `json:"compactions_total"`
-	RepCacheReloadedTotal int64 `json:"repcache_reloaded_total"`
+	GraphsStored        int   `json:"graphs_stored"`
+	CacheSize           int   `json:"cache_size"`
+	CacheEvictionsTotal int64 `json:"cache_evictions_total"`
+	JournalRecordsTotal int64 `json:"journal_records_total"`
+	RecoveryNS          int64 `json:"recovery_ns"`
+	SnapshotBytes       int64 `json:"snapshot_bytes"`
+	CompactionsTotal    int64 `json:"compactions_total"`
 }
 
 // startDurable opens a server over the given FS without registering any
@@ -29,10 +28,9 @@ type durableMetricsJSON struct {
 func startDurable(t *testing.T, fs *crashtest.MemFS) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := serve.New(serve.Config{
-		DataDir:          "data",
-		DataFS:           fs,
-		JobWorkers:       1,
-		RepCacheDatasets: 2,
+		DataDir:    "data",
+		DataFS:     fs,
+		JobWorkers: 1,
 	})
 	if err != nil {
 		t.Fatalf("open durable server: %v", err)
@@ -53,8 +51,7 @@ func closeServer(t *testing.T, srv *serve.Server, ts *httptest.Server) {
 // TestDurableRestartPreservesGraphs drives the full service loop through
 // the durable store: generate (single and family mode), delete, restart
 // on the same filesystem, and require the surviving state — names,
-// versions, checksums, ground truth — to come back identically, with the
-// representation cache rewarmed from its spill files.
+// versions, checksums, ground truth — to come back identically.
 func TestDurableRestartPreservesGraphs(t *testing.T) {
 	mem := crashtest.NewMemFS()
 	srv, ts := startDurable(t, mem)
@@ -136,9 +133,6 @@ func TestDurableRestartPreservesGraphs(t *testing.T) {
 	// the state instead.
 	if m.SnapshotBytes <= 0 {
 		t.Fatalf("snapshot_bytes = %d after recovery, want > 0", m.SnapshotBytes)
-	}
-	if m.RepCacheReloadedTotal < 1 {
-		t.Fatalf("repcache_reloaded_total = %d after family generation + restart, want >= 1", m.RepCacheReloadedTotal)
 	}
 }
 

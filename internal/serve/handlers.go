@@ -315,7 +315,6 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.persistWarmReps()
 	s.graphsCreated.Inc()
 	writeJSON(w, http.StatusCreated, infoOf(entry))
 }
@@ -471,7 +470,6 @@ func (s *Server) generateMeasureReply(ctx context.Context, trace *obs.Trace, req
 		// durability the restart cannot honor.
 		return renderJSON(http.StatusInternalServerError, errorReply{Error: err.Error()}), nil
 	}
-	s.persistWarmReps()
 	s.graphsCreated.Inc()
 	return renderJSON(http.StatusCreated, infoOf(entry)), nil
 }
@@ -586,7 +584,6 @@ func (s *Server) generateFamilyReply(ctx context.Context, trace *obs.Trace, req 
 		}
 		infos = append(infos, infoOf(e))
 	}
-	s.persistWarmReps()
 	s.graphsCreated.Add(int64(len(infos)))
 	return renderJSON(http.StatusCreated, map[string]any{"family": string(family), "graphs": infos}), nil
 }

@@ -45,7 +45,6 @@ var erserveJSONKeys = map[string]string{
 	"repcache_evictions_total": kindNumber, "repcache_entries": kindNumber,
 	"journal_records_total": kindNumber, "recovery_ns": kindNumber,
 	"snapshot_bytes": kindNumber, "compactions_total": kindNumber,
-	"repcache_reloaded_total": kindNumber,
 	"requests_by_class_total": kindObject,
 	"http_request_p50_ms":     kindNumber, "http_request_p95_ms": kindNumber,
 	"http_request_p99_ms":   kindNumber,
@@ -106,7 +105,6 @@ var erserveFamilies = []string{
 	"ccer_repcache_evictions_total counter - Representation cache evictions.",
 	"ccer_repcache_hits_total counter - Representation cache hits.",
 	"ccer_repcache_misses_total counter - Representation cache misses.",
-	"ccer_repcache_reloaded_total counter - Representation cache entries rewarmed from the durable spill at boot.",
 	"ccer_request_timeout_total counter route Requests that exceeded their deadline (HTTP 504), by route.",
 	"ccer_requests_total counter - HTTP requests received.",
 	"ccer_shed_total counter reason Requests shed by the overload-protection layer, by machine-readable reason.",
@@ -330,12 +328,11 @@ func TestMetricsViewsPinned(t *testing.T) {
 	t.Run("erserve", func(t *testing.T) {
 		faults := resilience.NewFaults()
 		srv, err := serve.New(serve.Config{
-			DataDir:          "data",
-			DataFS:           crashtest.NewMemFS(),
-			JobWorkers:       1,
-			RepCacheDatasets: 2,
-			MatchTimeout:     time.Second,
-			Faults:           faults,
+			DataDir:      "data",
+			DataFS:       crashtest.NewMemFS(),
+			JobWorkers:   1,
+			MatchTimeout: time.Second,
+			Faults:       faults,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -100,9 +100,6 @@ func (s *Server) initObs() {
 		func() int64 { return s.reps.Stats().Evictions })
 	r.GaugeFunc("ccer_repcache_entries", "Representation cache resident entries.",
 		func() float64 { return float64(s.reps.Stats().Entries) })
-	r.CounterFunc("ccer_repcache_reloaded_total",
-		"Representation cache entries rewarmed from the durable spill at boot.",
-		func() int64 { return s.repReloaded.Load() })
 
 	r.CounterFunc("ccer_journal_records_total", "Journal records replayed at boot plus appended since.",
 		func() int64 { return s.log.Metrics().JournalRecordsTotal })

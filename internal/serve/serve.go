@@ -56,17 +56,10 @@ type Config struct {
 	// cost CPU while sampling, so production deployments should gate
 	// them behind operator intent (a flag on cmd/erserve).
 	EnablePprof bool
-	// RepCacheDatasets sizes the cross-build representation caches
-	// (TF/TF-IDF spaces, n-gram graphs, embeddings, attribute profiles)
-	// in resident datasets: repeated generation for an already-seen
-	// (dataset, seed, scale) reuses the per-entity representations with
-	// byte-identical output. 0 means 2; negative disables the caches.
-	RepCacheDatasets int
 	// DataDir, when set, makes the graph store durable: every commit is
 	// journaled (fsync'd, CRC-framed) over content-addressed snapshots
-	// in this directory, and a restart recovers every committed graph —
-	// verified against its stored checksum — plus the spilled
-	// representation-cache warm set. Empty keeps today's purely
+	// in this directory, and a restart recovers every committed graph,
+	// verified against its stored checksum. Empty keeps today's purely
 	// in-memory behavior.
 	DataDir string
 	// CompactEvery is the background snapshot/compaction period of the
@@ -151,9 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
-	if c.RepCacheDatasets == 0 {
-		c.RepCacheDatasets = 2
-	}
 	if c.TraceRing == 0 {
 		c.TraceRing = 64
 	}
@@ -187,9 +177,15 @@ type Server struct {
 	cache   *ResultCache
 	jobs    *JobQueue
 	mux     *http.ServeMux
-	reps    *simgraph.RepCaches // nil when disabled
-	log     *durable.Log        // nil when DataDir is unset
+	log     *durable.Log // nil when DataDir is unset
 	started time.Time
+
+	// reps are the cross-build representation caches (TF/TF-IDF spaces,
+	// n-gram graphs, embeddings, attribute profiles), sized for two
+	// resident datasets: repeated generation for an already-seen
+	// (dataset, seed, scale) reuses the per-entity representations with
+	// byte-identical output.
+	reps *simgraph.RepCaches
 
 	// obs is the metrics registry behind both /metrics views; nil (with
 	// Config.DisableObs) makes every handle below an inert no-op. tracer
@@ -213,10 +209,6 @@ type Server struct {
 	matchDur      *obs.HistogramVec // one Match call, by algorithm
 	sweepDur      *obs.Histogram    // one sweep job execution
 	gen           genMetrics
-
-	// repReloaded counts representation-cache entries rewarmed from the
-	// durable spill at boot.
-	repReloaded atomic.Int64
 
 	// The overload-protection layer (internal/resilience): a bounded
 	// two-priority admission queue over the heavy computations, plus
@@ -264,9 +256,7 @@ func New(cfg Config) (*Server, error) {
 		cache:   NewResultCache(cfg.CacheSize),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
-	}
-	if cfg.RepCacheDatasets > 0 {
-		s.reps = simgraph.NewRepCaches(cfg.RepCacheDatasets)
+		reps:    simgraph.NewRepCaches(2),
 	}
 	if cfg.AdmissionSlots > 0 {
 		s.limiter = resilience.NewLimiter(cfg.AdmissionSlots, cfg.AdmissionDepth)

@@ -153,58 +153,17 @@ func attrRepsFor(c *RepCaches, texts1, texts2 []string) *attrReps {
 	if c == nil {
 		return buildAttrReps(texts1, texts2)
 	}
-	reps, _ := c.attrs.GetOrBuild(AttrKey(texts1, texts2), func() *attrReps {
+	reps, _ := c.attrs.GetOrBuild(attrKey(texts1, texts2), func() *attrReps {
 		return buildAttrReps(texts1, texts2)
 	})
 	return reps
 }
 
-// AttrKey is the content hash keying an attribute-profile bundle in the
-// RepCaches: a pure function of the two attribute text columns. The
-// durable layer uses it to verify spilled inputs before rewarming.
-func AttrKey(texts1, texts2 []string) repcache.Key {
+// attrKey is the content hash keying an attribute-profile bundle in the
+// RepCaches: a pure function of the two attribute text columns.
+func attrKey(texts1, texts2 []string) repcache.Key {
 	h := repcache.NewHasher(0xa77)
 	h.Strings(texts1)
 	h.Strings(texts2)
 	return h.Key()
-}
-
-// AttrWarm is one warm attribute-profile entry in spillable form: the
-// input text columns the bundle is a pure function of, plus their
-// content key. Rebuilding from the texts reproduces the bundle
-// bit-identically, so spilling inputs (kilobytes) rather than the
-// profile structures (suffix automata, postings) loses nothing but the
-// rebuild time, which recovery pays once.
-type AttrWarm struct {
-	Key            repcache.Key
-	Texts1, Texts2 []string
-}
-
-// WarmAttrEntries snapshots the warm attribute-profile set for
-// spilling. Order is unspecified.
-func (c *RepCaches) WarmAttrEntries() []AttrWarm {
-	if c == nil {
-		return nil
-	}
-	var out []AttrWarm
-	c.attrs.Range(func(k repcache.Key, r *attrReps) {
-		out = append(out, AttrWarm{Key: k, Texts1: r.texts1, Texts2: r.texts2})
-	})
-	return out
-}
-
-// WarmAttrs rebuilds the attribute-profile bundle of the two text
-// columns into the cache (a boot-time reload of a spilled entry). It
-// reports whether the entry was actually built now (false: it was
-// already resident, or the caches are disabled).
-func (c *RepCaches) WarmAttrs(texts1, texts2 []string) bool {
-	if c == nil {
-		return false
-	}
-	built := false
-	c.attrs.GetOrBuild(AttrKey(texts1, texts2), func() *attrReps {
-		built = true
-		return buildAttrReps(texts1, texts2)
-	})
-	return built
 }
