@@ -33,7 +33,10 @@
 // mutation commits to an fsync'd journal over content-addressed
 // snapshots before the response is written, and a restart (even after
 // kill -9) recovers exactly the committed graphs, verified against
-// their checksums.
+// their checksums. Only graphs are kept: the representation caches live
+// in memory and warm again with use, and a reps/ directory that an
+// older version left in the data directory is not read and can be
+// deleted.
 //
 // With -route the process is a cluster router instead of a node: it
 // fronts the listed erserve backends as one replicated service, placing

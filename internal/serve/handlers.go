@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -130,11 +131,22 @@ func (s *Server) rejectIfDegraded(w http.ResponseWriter) bool {
 	return true
 }
 
-// decodeJSON strictly parses the request body into v.
+// errTrailingData rejects a request body with more than white space
+// after its JSON value.
+var errTrailingData = errors.New("trailing data after the JSON value")
+
+// decodeJSON strictly parses the request body into v: unknown fields
+// and anything but white space after the value are rejected.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
