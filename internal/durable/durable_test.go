@@ -103,10 +103,9 @@ func TestLogPutReopenRecovers(t *testing.T) {
 	}
 }
 
-// TestFreshDirHasNoReps: a data directory holds the journal, the
-// manifest and the graph and ground-truth files, and nothing under the
-// reps/ directory older versions spilled representation-cache inputs
-// to.
+// TestFreshDirHasNoReps: Open, a put with ground truth and Close leave
+// no reps/ directory, where older versions spilled representation-cache
+// inputs.
 func TestFreshDirHasNoReps(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := durable.Open(durable.Config{Dir: dir, CompactEvery: -1})

@@ -131,10 +131,6 @@ func (s *Server) rejectIfDegraded(w http.ResponseWriter) bool {
 	return true
 }
 
-// errTrailingData rejects a request body with more than white space
-// after its JSON value.
-var errTrailingData = errors.New("trailing data after the JSON value")
-
 // decodeJSON strictly parses the request body into v: unknown fields
 // and anything but white space after the value are rejected.
 func decodeJSON(r *http.Request, v any) error {
@@ -144,7 +140,7 @@ func decodeJSON(r *http.Request, v any) error {
 		return err
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errTrailingData
+		return errors.New("trailing data after the JSON value")
 	}
 	return nil
 }
