@@ -120,10 +120,16 @@ func TestGraphNamesReachBackendsEscaped(t *testing.T) {
 	}
 
 	// A sweep id reaches the backend as itself too: deleting "sweep-1?z"
-	// through the router must not cancel sweep-1. The armed fault holds
-	// the sweep running until it is cancelled.
+	// through the router must not cancel sweep-1. The sweep runs over a
+	// generated graph, since a sweep needs ground truth, and the armed
+	// fault holds it running until it is cancelled.
+	if status, _, raw := postJSON(t, tc.front.URL+"/v1/graphs", map[string]any{
+		"name": "swept", "dataset": "D2", "seed": 42, "scale": 0.02,
+	}); status != http.StatusCreated {
+		t.Fatalf("generate: status %d, reply %s", status, raw)
+	}
 	tc.faults[0].Set("sweep", time.Minute, nil, 1)
-	status, _, raw := postJSON(t, tc.front.URL+"/v1/sweeps", map[string]any{"graph": "a", "algorithms": []string{"UMC"}})
+	status, _, raw := postJSON(t, tc.front.URL+"/v1/sweeps", map[string]any{"graph": "swept", "algorithms": []string{"UMC"}})
 	var sweep struct {
 		ID    string `json:"id"`
 		State string `json:"state"`

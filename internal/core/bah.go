@@ -116,21 +116,19 @@ func (b BAH) Match(g *graph.Bipartite, t float64) []Pair {
 	if cells := nLarge * stride; cells <= 2*maxSteps {
 		// Dense graphs small relative to the step budget: materialize
 		// the thresholded, large-oriented contribution matrix once from
-		// the edge list — wt[large*(nSmall+1) + small+1], with column 0
-		// absorbing the "no partner" sentinel — so a step is four
-		// unconditional loads. The cells <= 2*maxSteps bound keeps the
-		// O(cells) build amortized below one write per probe.
+		// the V1 rows' above-threshold prefixes — wt[large*(nSmall+1) +
+		// small+1], with column 0 absorbing the "no partner" sentinel —
+		// so a step is four unconditional loads. The cells <= 2*maxSteps
+		// bound keeps the O(cells) build amortized below one write per
+		// probe.
 		wt := make([]float64, cells)
-		if swapped {
-			for _, e := range g.Edges() {
-				if e.W > t {
-					wt[int(e.V)*stride+int(e.U)+1] = e.W
-				}
-			}
-		} else {
-			for _, e := range g.Edges() {
-				if e.W > t {
-					wt[int(e.U)*stride+int(e.V)+1] = e.W
+		a := g.Rows()
+		for u := 0; u < g.N1(); u++ {
+			for k := a.Off[u]; k < a.Off[u+1] && a.W[k] > t; k++ {
+				if swapped {
+					wt[int(a.Opp[k])*stride+u+1] = a.W[k]
+				} else {
+					wt[u*stride+int(a.Opp[k])+1] = a.W[k]
 				}
 			}
 		}

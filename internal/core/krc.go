@@ -13,8 +13,8 @@ import "github.com/ccer-go/ccer/internal/graph"
 // against first-pass fiancés (the "promotion" of Király's second phase).
 //
 // A man's preference list is his cached adjacency list, sorted by
-// descending weight and read from the graph's flat V1 arrays
-// (graph.Adjacency, fetched once per call) through a cursor: his list
+// descending weight and read from the graph's flat V1 rows
+// (graph.Rows, fetched once per call) through a cursor: his list
 // is exhausted when the cursor reaches its end or a weight not above t,
 // so a proposal is O(1). A call costs O(n + proposals), and a man walks
 // his above-threshold prefix at most twice, once per chance.
@@ -26,7 +26,7 @@ func (KRC) Name() string { return "KRC" }
 // Match implements Matcher.
 func (KRC) Match(g *graph.Bipartite, t float64) []Pair {
 	n1, n2 := g.N1(), g.N2()
-	a1, _ := g.Adjacency()
+	a1 := g.Rows()
 
 	var (
 		ptrBuf  [512]int32

@@ -91,10 +91,11 @@ func TestPropertyTopEdgeAlwaysMatched(t *testing.T) {
 		if g.NumEdges() == 0 {
 			return true
 		}
-		top := g.Edge(g.EdgesByWeight()[0])
+		byWeight := g.EdgesByWeight()
+		top := byWeight[0]
 		// Ensure strict maximality (random floats collide with
 		// negligible probability, but be explicit).
-		if g.NumEdges() > 1 && g.Edge(g.EdgesByWeight()[1]).W == top.W {
+		if g.NumEdges() > 1 && byWeight[1].W == top.W {
 			return true
 		}
 		th := top.W / 2

@@ -109,9 +109,10 @@ func adjList(a graph.Adjacency, x int32) ([]int32, []float64) {
 	return a.Opp[a.Off[x]:a.Off[x+1]], a.W[a.Off[x]:a.Off[x+1]]
 }
 
-// seedCNC is the previous CNC.Match, kept verbatim as a reference:
-// union-find over every above-threshold edge. CNC.Match must reproduce
-// it pair for pair.
+// seedCNC is the previous CNC.Match, kept as a reference: union-find
+// over every above-threshold edge. It reads the by-weight edge list,
+// where it once gathered each edge through the by-weight permutation.
+// CNC.Match must reproduce it pair for pair.
 func seedCNC(g *graph.Bipartite, t float64) []Pair {
 	n1 := int32(g.N1())
 	n := g.N1() + g.N2()
@@ -129,13 +130,12 @@ func seedCNC(g *graph.Bipartite, t float64) []Pair {
 		}
 		return x
 	}
-	// Iterating the descending-weight permutation touches only the
+	// Iterating the descending-weight list touches only the
 	// above-threshold edges: everything after the first pruned edge is
 	// pruned too.
 	byWeight := g.EdgesByWeight()
 	above := len(byWeight)
-	for k, ei := range byWeight {
-		e := g.Edge(ei)
+	for k, e := range byWeight {
 		if e.W <= t {
 			above = k
 			break
@@ -151,8 +151,7 @@ func seedCNC(g *graph.Bipartite, t float64) []Pair {
 		size[ra] += size[rb]
 	}
 	var pairs []Pair
-	for _, ei := range byWeight[:above] {
-		e := g.Edge(ei)
+	for _, e := range byWeight[:above] {
 		if size[find(int32(e.U))] == 2 {
 			pairs = append(pairs, Pair{U: e.U, V: e.V, W: e.W})
 		}
@@ -161,15 +160,14 @@ func seedCNC(g *graph.Bipartite, t float64) []Pair {
 	return pairs
 }
 
-// seedUMC is the previous UMC.Match, kept verbatim as a reference: the
-// greedy scan of the by-weight permutation, gathering each edge through
-// it. UMC.Match must reproduce it pair for pair.
+// seedUMC is the previous UMC.Match, kept as a reference: the greedy
+// scan of the by-weight edge list, which it once gathered through the
+// by-weight permutation. UMC.Match must reproduce it pair for pair.
 func seedUMC(g *graph.Bipartite, t float64) []Pair {
 	var b1, b2 [512]bool
 	matched1, matched2 := scratch(b1[:], g.N1()), scratch(b2[:], g.N2())
 	var pairs []Pair
-	for _, ei := range g.EdgesByWeight() {
-		e := g.Edge(ei)
+	for _, e := range g.EdgesByWeight() {
 		if e.W <= t {
 			break // descending order: everything after is also pruned
 		}

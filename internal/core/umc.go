@@ -24,7 +24,7 @@ import "github.com/ccer-go/ccer/internal/graph"
 // matched through an earlier edge, so the two are equal. A node
 // proposes at most once along each of its edges above t, so a call
 // costs O(n + m_t) sequential reads for the m_t edges above t, with no
-// sort and no pass over the by-weight permutation.
+// sort and no pass over a by-weight edge list.
 type UMC struct{}
 
 // Name implements Matcher.
@@ -33,7 +33,7 @@ func (UMC) Name() string { return "UMC" }
 // Match implements Matcher.
 func (UMC) Match(g *graph.Bipartite, t float64) []Pair {
 	n1, n2 := g.N1(), g.N2()
-	a1, _ := g.Adjacency()
+	a1 := g.Rows()
 
 	var (
 		nxBuf [512]int32

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/ccer-go/ccer/internal/graph"
@@ -25,10 +26,7 @@ func EstimateThreshold(g *graph.Bipartite) float64 {
 	if m == 0 {
 		return 0.5
 	}
-	ws := make([]float64, 0, m)
-	for _, e := range g.Edges() {
-		ws = append(ws, e.W)
-	}
+	ws := slices.Clone(g.Rows().W)
 	sort.Sort(sort.Reverse(sort.Float64Slice(ws)))
 
 	k := g.N1()

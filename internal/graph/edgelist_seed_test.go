@@ -3,25 +3,42 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // seedWriteEdgeList is WriteEdgeList's body before the chunk encoder,
-// kept verbatim as the reference the encoder must match byte for byte:
-// one fmt.Fprintf per edge through a bufio.Writer.
+// kept as the reference the encoder must match byte for byte: one
+// fmt.Fprintf per edge through a bufio.Writer. Its edges are the V1
+// rows put in (U,V) order by a comparison sort, apart from the
+// encoder's row walk.
 func seedWriteEdgeList(g *Bipartite, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "%d %d\n", g.n1, g.n2); err != nil {
 		return err
 	}
-	for _, e := range g.edges {
+	a := g.adj1
+	var edges []Edge
+	for u := 0; u < g.n1; u++ {
+		for k := a.Off[u]; k < a.Off[u+1]; k++ {
+			edges = append(edges, Edge{U: NodeID(u), V: a.Opp[k], W: a.W[k]})
+		}
+	}
+	slices.SortFunc(edges, func(x, y Edge) int {
+		if x.U != y.U {
+			return cmp.Compare(x.U, y.U)
+		}
+		return cmp.Compare(x.V, y.V)
+	})
+	for _, e := range edges {
 		if _, err := fmt.Fprintf(bw, "%d %d %s\n", e.U, e.V,
 			strconv.FormatFloat(e.W, 'g', -1, 64)); err != nil {
 			return err
@@ -88,15 +105,18 @@ func TestEdgeListMatchesSeed(t *testing.T) {
 	cases := map[string]*Bipartite{
 		"0 0":      mustGraph(t, 0, 0, nil),
 		"edgeless": mustGraph(t, 7, 3, nil),
-		// The encoder reads only the sides and the edge slice, so ids
-		// no Builder could hold at test scale still get exercised.
-		"max-int32 ids": {n1: math.MaxInt32 + 1, n2: math.MaxInt32 + 1, edges: []Edge{
-			{U: math.MaxInt32, V: math.MaxInt32, W: -2.2250738585072014e-308},
-			{U: math.MinInt32, V: math.MinInt32, W: 0.5},
-			{U: 0, V: math.MaxInt32, W: 1},
+		// The encoder reads only the sides and the V1 rows, so a V2 id
+		// no Builder could hold at test scale still gets exercised; a V1
+		// id is a row index, and a row holds any V2 id.
+		"max-int32 ids": {n1: 2, n2: math.MaxInt32 + 1, adj1: Adjacency{
+			Off: []int32{0, 1, 3},
+			Opp: []int32{math.MaxInt32, 0, math.MaxInt32},
+			W:   []float64{-2.2250738585072014e-308, 1, 0.5},
 		}},
-		"non-finite": {n1: 1, n2: 3, edges: []Edge{
-			{U: 0, V: 0, W: math.NaN()}, {U: 0, V: 1, W: math.Inf(1)}, {U: 0, V: 2, W: math.Inf(-1)},
+		"non-finite": {n1: 1, n2: 3, adj1: Adjacency{
+			Off: []int32{0, 3},
+			Opp: []int32{1, 2, 0},
+			W:   []float64{math.Inf(1), math.Inf(-1), math.NaN()},
 		}},
 	}
 	var edges []Edge

@@ -13,10 +13,12 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within one side of a bipartite graph.
@@ -81,12 +83,15 @@ func (b *Builder) Reserve(n int) {
 
 // Build finalizes the graph. Duplicate (u,v) edges are merged keeping the
 // maximum weight, matching how the paper's pipeline treats repeated
-// candidate pairs.
+// candidate pairs. It takes ownership of the accumulated edges and lets
+// them go once the graph's rows are laid out; the builder must not be
+// reused.
 func (b *Builder) Build() (*Bipartite, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	edges := dedupeMax(b.edges, b.n1)
+	b.edges = nil
 	return newBipartite(b.n1, b.n2, edges), nil
 }
 
@@ -112,6 +117,7 @@ func (b *Builder) BuildNormalized() (*Bipartite, error) {
 		return nil, b.err
 	}
 	edges := dedupeMax(b.edges, b.n1)
+	b.edges = nil
 	rescaleMinMax(edges)
 	return newBipartite(b.n1, b.n2, edges), nil
 }
@@ -239,27 +245,31 @@ func transposeVMajor(es []Edge, n1 int) ([]Edge, bool) {
 	return out, true
 }
 
-// Bipartite is an immutable weighted bipartite similarity graph.
+// Bipartite is an immutable weighted bipartite similarity graph. It
+// holds its edges once, as the V1 side's rows (see Adjacency): node u's
+// neighbors and weights in (weight descending, neighbor ascending)
+// order. Every other view is derived from the rows: the V2 side's rows
+// on first use, and the (U,V)-ordered and by-weight edge lists afresh
+// on each call.
 type Bipartite struct {
 	n1, n2 int
-	edges  []Edge
 	maxW   float64
+	adj1   Adjacency // the V1 rows, laid out at construction
 
-	// The matching index, the by-weight permutation and each side's
-	// Adjacency, is built lazily on first use (indexOnce): similarity-
-	// graph generation produces hundreds of graphs whose only consumers
-	// may be checksumming, serialization or the cleaning filter, none of
-	// which need it, while the matchers that do pay the build exactly
-	// once per (immutable) graph.
-	indexOnce  sync.Once
-	byWeight   []int32 // edge indices in descending weight order
-	adj1, adj2 Adjacency
+	// The V2 side is built lazily on the first Adjacency call (v2Once):
+	// similarity-graph generation produces hundreds of graphs whose only
+	// consumers may be checksumming, serialization or the cleaning
+	// filter, none of which need it, while the matchers that do pay the
+	// build exactly once per (immutable) graph. It is published through
+	// an atomic pointer so ResidentBytes can read it while a build runs.
+	v2Once sync.Once
+	adj2   atomic.Pointer[Adjacency]
 
 	// pair is the lazily built constant-time (u,v) -> weight index,
 	// shared by every Match call on this graph (graphs are immutable, so
 	// it is built at most once).
 	pairOnce sync.Once
-	pair     *PairLookup
+	pair     atomic.Pointer[PairLookup]
 }
 
 // Adjacency is one side's adjacency as flat CSR arrays: node x's
@@ -272,72 +282,58 @@ type Adjacency struct {
 	W   []float64
 }
 
+// bytes is the adjacency's size: 12 bytes an entry plus 4 an offset.
+func (a Adjacency) bytes() int64 {
+	return 4*int64(len(a.Off)) + 4*int64(len(a.Opp)) + 8*int64(len(a.W))
+}
+
+// newBipartite lays out the V1 rows of a (U,V)-ascending edge list
+// without duplicate pairs, the order Build, BuildNormalized and
+// NormalizeMinMax hand it. The list does not outlive the call.
 func newBipartite(n1, n2 int, edges []Edge) *Bipartite {
-	g := &Bipartite{n1: n1, n2: n2, edges: edges}
+	g := &Bipartite{n1: n1, n2: n2}
 	if len(edges) > 0 {
 		_, g.maxW = weightRange(edges)
 	}
+	// Each row is a run of the list, neighbors ascending, so a stable
+	// sort of each run by descending weight leaves every row in (weight
+	// descending, neighbor ascending) order.
+	a := newAdjacency(n1, len(edges))
+	for k, e := range edges {
+		a.Off[e.U+1]++
+		a.Opp[k], a.W[k] = e.V, e.W
+	}
+	for u := 0; u < n1; u++ {
+		a.Off[u+1] += a.Off[u]
+	}
+	sortRows(a)
+	g.adj1 = a
 	return g
 }
 
-// buildIndex materializes the by-weight permutation and both sides'
-// Adjacency; indexOnce runs it at most once per graph.
-func (g *Bipartite) buildIndex() {
-	edges := g.edges
-	g.byWeight = make([]int32, len(edges))
-	for i := range g.byWeight {
-		g.byWeight[i] = int32(i)
+// buildV2 lays out the V2 side's rows from the V1 rows; v2Once runs it
+// at most once per graph.
+func (g *Bipartite) buildV2() {
+	a1 := g.adj1
+	a2 := newAdjacency(g.n2, len(a1.Opp))
+	for _, v := range a1.Opp {
+		a2.Off[v+1]++
 	}
-	// The permutation's comparator is (W descending, then U, V
-	// ascending). Edge lists from Build and NormalizeMinMax are
-	// already (U,V)-ascending, so the identity permutation realizes the
-	// tie-break and any STABLE descending-weight sort produces exactly
-	// the comparator's order — which lets large graphs use an LSD radix
-	// sort over the weight bits instead of an O(E log E) comparison
-	// sort with a closure per compare.
-	if len(edges) >= radixMinEdges && isSortedUV(edges) {
-		radixSortByWeightDesc(edges, g.byWeight)
-	} else {
-		slices.SortFunc(g.byWeight, func(x, y int32) int {
-			ei, ej := edges[x], edges[y]
-			switch {
-			case ei.W > ej.W:
-				return -1
-			case ei.W < ej.W:
-				return 1
-			case ei.U != ej.U:
-				return int(ei.U) - int(ej.U)
-			default:
-				return int(ei.V) - int(ej.V)
-			}
-		})
+	for v := 0; v < g.n2; v++ {
+		a2.Off[v+1] += a2.Off[v]
 	}
-
-	a1, a2 := newAdjacency(g.n1, len(edges)), newAdjacency(g.n2, len(edges))
-	for _, e := range edges {
-		a1.Off[e.U+1]++
-		a2.Off[e.V+1]++
+	// Placing the V1 rows in ascending U leaves each V2 row's neighbors
+	// ascending, so sortRows can order it as newBipartite orders V1.
+	next := slices.Clone(a2.Off[:g.n2])
+	for u := 0; u < g.n1; u++ {
+		for k := a1.Off[u]; k < a1.Off[u+1]; k++ {
+			v := a1.Opp[k]
+			a2.Opp[next[v]], a2.W[next[v]] = int32(u), a1.W[k]
+			next[v]++
+		}
 	}
-	for i := 0; i < g.n1; i++ {
-		a1.Off[i+1] += a1.Off[i]
-	}
-	for i := 0; i < g.n2; i++ {
-		a2.Off[i+1] += a2.Off[i]
-	}
-	next1 := append([]int32(nil), a1.Off[:g.n1]...)
-	next2 := append([]int32(nil), a2.Off[:g.n2]...)
-	// Appending in global by-weight order keeps every list in
-	// (W descending, neighbor ascending) order.
-	for _, ei := range g.byWeight {
-		e := edges[ei]
-		k := next1[e.U]
-		a1.Opp[k], a1.W[k] = e.V, e.W
-		next1[e.U]++
-		k = next2[e.V]
-		a2.Opp[k], a2.W[k] = e.U, e.W
-		next2[e.V]++
-	}
-	g.adj1, g.adj2 = a1, a2
+	sortRows(a2)
+	g.adj2.Store(&a2)
 }
 
 func newAdjacency(nodes, edges int) Adjacency {
@@ -348,72 +344,154 @@ func newAdjacency(nodes, edges int) Adjacency {
 	}
 }
 
-// radixMinEdges is the edge count above which the by-weight permutation
-// uses the radix sort; below it the per-pass histogram overhead loses to
-// the comparison sort.
-const radixMinEdges = 256
-
-// radixSortByWeightDesc stably sorts idx (the identity permutation over
-// edges) by strictly descending edge weight: 8 LSD counting passes over
-// a monotone uint64 transform of the weight bits, skipping passes whose
-// byte is constant (common: similarity weights share sign and most
-// exponent bits). Stability plus (U,V)-ascending input order reproduces
-// the full (W desc, U asc, V asc) comparator order bit for bit; -0 is
-// mapped onto +0 so the two compare equal, as the comparator says.
-func radixSortByWeightDesc(edges []Edge, idx []int32) {
-	keys := make([]uint64, len(edges))
-	var counts [8][256]int32
-	for i, e := range edges {
-		w := e.W
-		if w == 0 {
-			w = 0 // collapses -0 onto +0
+// sortRows sorts each row of a whose neighbors ascend by descending
+// weight, stably, into (weight descending, neighbor ascending) order.
+func sortRows(a Adjacency) {
+	var s weightSorter
+	var opp []int32
+	var w []float64
+	for x := 0; x+1 < len(a.Off); x++ {
+		lo, hi := a.Off[x], a.Off[x+1]
+		if hi-lo < 2 {
+			continue
 		}
-		b := math.Float64bits(w)
-		if b>>63 != 0 {
-			b = ^b
-		} else {
-			b |= 1 << 63
+		order := s.byWeightDesc(a.W[lo:hi])
+		opp = append(opp[:0], a.Opp[lo:hi]...)
+		w = append(w[:0], a.W[lo:hi]...)
+		for i, j := range order {
+			a.Opp[lo+int32(i)], a.W[lo+int32(i)] = opp[j], w[j]
 		}
-		k := ^b // ascending key order == descending weight order
-		keys[i] = k
-		counts[0][k&0xff]++
-		counts[1][k>>8&0xff]++
-		counts[2][k>>16&0xff]++
-		counts[3][k>>24&0xff]++
-		counts[4][k>>32&0xff]++
-		counts[5][k>>40&0xff]++
-		counts[6][k>>48&0xff]++
-		counts[7][k>>56&0xff]++
 	}
-	n := int32(len(edges))
-	src, dst := idx, make([]int32, len(idx))
-	for p := 0; p < 8; p++ {
+}
+
+// weightSorter computes stable descending-weight orders, reusing its
+// buffers from call to call.
+type weightSorter struct {
+	keys, tmpKeys []uint64
+	idx, tmpIdx   []int32
+}
+
+// insertionMax is the length below which byWeightDesc sorts by
+// insertion; above it the radix sort's histograms pay for themselves.
+const insertionMax = 32
+
+// byWeightDesc returns the permutation of 0..len(w)-1 that stably
+// sorts w by descending weight, -0 and +0 equal: the order's ties keep
+// the order of w. The result is valid until the next call.
+func (s *weightSorter) byWeightDesc(w []float64) []int32 {
+	n := len(w)
+	if cap(s.keys) < n {
+		s.keys, s.tmpKeys = make([]uint64, n), make([]uint64, n)
+		s.idx, s.tmpIdx = make([]int32, n), make([]int32, n)
+	}
+	keys, idx := s.keys[:n], s.idx[:n]
+	for i, x := range w {
+		keys[i], idx[i] = descKey(x), int32(i)
+	}
+	if n < insertionMax {
+		for i := 1; i < n; i++ {
+			k, x := keys[i], idx[i]
+			j := i
+			for ; j > 0 && keys[j-1] > k; j-- {
+				keys[j], idx[j] = keys[j-1], idx[j-1]
+			}
+			keys[j], idx[j] = k, x
+		}
+		return idx
+	}
+	return radixSort(keys, s.tmpKeys[:n], idx, s.tmpIdx[:n])
+}
+
+// descKey maps a weight onto a uint64 whose ascending order is the
+// weights' descending order, with -0 and +0 on one key.
+func descKey(w float64) uint64 {
+	if w == 0 {
+		w = 0 // collapses -0 onto +0
+	}
+	b := math.Float64bits(w)
+	if b>>63 != 0 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return ^b
+}
+
+// radixSort stably sorts keys ascending, moving idx along with them,
+// and returns the sorted idx, which is idx or tmpIdx. It makes 8 LSD
+// counting passes, one a byte, over keys and the same-length scratch
+// tmpKeys, skipping the passes whose byte every key shares (common:
+// similarity weights share sign and most exponent bits).
+func radixSort(keys, tmpKeys []uint64, idx, tmpIdx []int32) []int32 {
+	var counts [8][256]int32
+	for _, k := range keys {
+		for p := range counts {
+			counts[p][k>>(8*p)&0xff]++
+		}
+	}
+	n := int32(len(keys))
+	for p := range counts {
 		c := &counts[p]
 		shift := uint(8 * p)
-		constant := false
+		if c[keys[0]>>shift&0xff] == n {
+			continue // every key shares this byte; the pass is a no-op
+		}
 		sum := int32(0)
-		for b := 0; b < 256; b++ {
-			if c[b] == n {
-				constant = true
-				break
-			}
-			cnt := c[b]
+		for b, cnt := range c {
 			c[b] = sum
 			sum += cnt
 		}
-		if constant {
-			continue // every key shares this byte; the pass is a no-op
+		for j, k := range keys {
+			d := c[k>>shift&0xff]
+			tmpKeys[d], tmpIdx[d] = k, idx[j]
+			c[k>>shift&0xff]++
 		}
-		for _, i := range src {
-			b := keys[i] >> shift & 0xff
-			dst[c[b]] = i
-			c[b]++
+		keys, tmpKeys = tmpKeys, keys
+		idx, tmpIdx = tmpIdx, idx
+	}
+	return idx
+}
+
+// rowsUV calls fn with each V1 row's edges by ascending V, rows by
+// ascending U: the canonical (U,V) order of the edge-list codec. The
+// row is scratch reused from call to call, so fn must not keep it. A
+// row holding at least a sixteenth of V2 is put in order by marking its
+// neighbors in a table of n2 slots and scanning the table; a sparser
+// one is sorted.
+func (g *Bipartite) rowsUV(fn func(row []Edge) error) error {
+	a := g.adj1
+	var row []Edge
+	var slot []int32 // slot[v]: 1 + v's index in the row being ordered, else 0
+	for u := int32(0); int(u) < g.n1; u++ {
+		lo, hi := a.Off[u], a.Off[u+1]
+		if lo == hi {
+			continue
 		}
-		src, dst = dst, src
+		row = row[:0]
+		if 16*int(hi-lo) >= g.n2 {
+			if slot == nil {
+				slot = make([]int32, g.n2)
+			}
+			for k := lo; k < hi; k++ {
+				slot[a.Opp[k]] = k - lo + 1
+			}
+			for v, s := range slot {
+				if s != 0 {
+					row = append(row, Edge{U: u, V: int32(v), W: a.W[lo+s-1]})
+					slot[v] = 0
+				}
+			}
+		} else {
+			for k := lo; k < hi; k++ {
+				row = append(row, Edge{U: u, V: a.Opp[k], W: a.W[k]})
+			}
+			slices.SortFunc(row, func(x, y Edge) int { return cmp.Compare(x.V, y.V) })
+		}
+		if err := fn(row); err != nil {
+			return err
+		}
 	}
-	if &src[0] != &idx[0] {
-		copy(idx, src)
-	}
+	return nil
 }
 
 // N1 returns the number of nodes in the first collection.
@@ -423,46 +501,86 @@ func (g *Bipartite) N1() int { return g.n1 }
 func (g *Bipartite) N2() int { return g.n2 }
 
 // NumEdges returns the number of edges.
-func (g *Bipartite) NumEdges() int { return len(g.edges) }
+func (g *Bipartite) NumEdges() int { return len(g.adj1.Opp) }
 
-// Edge returns the edge with index i.
-func (g *Bipartite) Edge(i int32) Edge { return g.edges[i] }
-
-// Edges returns the underlying edge slice. Callers must not modify it.
-func (g *Bipartite) Edges() []Edge { return g.edges }
-
-// EdgesByWeight returns edge indices in descending weight order (ties
-// by ascending U, then V), building the matching index on first use.
-// Callers must not modify the returned slice.
-func (g *Bipartite) EdgesByWeight() []int32 {
-	g.indexOnce.Do(g.buildIndex)
-	return g.byWeight
+// Edges returns a fresh list of the edges in (U,V)-ascending order, the
+// order of the edge-list codec.
+func (g *Bipartite) Edges() []Edge {
+	out := make([]Edge, 0, g.NumEdges())
+	_ = g.rowsUV(func(row []Edge) error {
+		out = append(out, row...)
+		return nil
+	})
+	return out
 }
 
-// Adjacency returns the V1 and V2 sides' adjacency, building the
-// matching index on first use. A matcher fetches it once per call and
-// indexes the flat arrays per node.
+// EdgesByWeight returns a fresh list of the edges in descending weight
+// order, ties by ascending U, then V.
+func (g *Bipartite) EdgesByWeight() []Edge {
+	a := g.adj1
+	// The rows' positions run by ascending U and, within a row, equal
+	// weights by ascending V: a stable order of them by descending
+	// weight breaks ties by (U, V).
+	row := make([]int32, len(a.Opp))
+	for u := 0; u < g.n1; u++ {
+		for k := a.Off[u]; k < a.Off[u+1]; k++ {
+			row[k] = int32(u)
+		}
+	}
+	var s weightSorter
+	out := make([]Edge, len(a.W))
+	for i, k := range s.byWeightDesc(a.W) {
+		out[i] = Edge{U: row[k], V: a.Opp[k], W: a.W[k]}
+	}
+	return out
+}
+
+// Rows returns the V1 side's adjacency: the graph's edges as it holds
+// them, without building the V2 side. Callers must not modify it.
+func (g *Bipartite) Rows() Adjacency { return g.adj1 }
+
+// Adjacency returns the V1 and V2 sides' adjacency, building the V2
+// side on first use. A matcher fetches it once per call and indexes the
+// flat arrays per node.
 func (g *Bipartite) Adjacency() (v1, v2 Adjacency) {
-	g.indexOnce.Do(g.buildIndex)
-	return g.adj1, g.adj2
+	g.v2Once.Do(g.buildV2)
+	return g.adj1, *g.adj2.Load()
 }
 
 // MaxWeight returns the largest edge weight (0 for an empty graph).
 func (g *Bipartite) MaxWeight() float64 { return g.maxW }
 
-// Weight returns the weight of edge (u,v) and whether it exists.
-// It scans the shorter of the two adjacency lists.
+// Weight returns the weight of edge (u,v) and whether it exists,
+// scanning u's row.
 func (g *Bipartite) Weight(u, v NodeID) (float64, bool) {
-	a1, a2 := g.Adjacency()
-	a, x, y := a1, u, v
-	if a1.Off[u+1]-a1.Off[u] > a2.Off[v+1]-a2.Off[v] {
-		a, x, y = a2, v, u
-	}
-	lo := a.Off[x]
-	if k := slices.Index(a.Opp[lo:a.Off[x+1]], y); k >= 0 {
+	a := g.adj1
+	lo := a.Off[u]
+	if k := slices.Index(a.Opp[lo:a.Off[u+1]], v); k >= 0 {
 		return a.W[lo+int32(k)], true
 	}
 	return 0, false
+}
+
+// Resident is a graph's resident memory by component, in bytes.
+type Resident struct {
+	V1          int64 // the V1 rows: 12 bytes an edge plus 4(n1+1)
+	V2          int64 // the V2 rows once built: 12 bytes an edge plus 4(n2+1)
+	PairWeights int64 // the pair lookup once built: 8 bytes a cell, or 16 an entry of its map
+}
+
+// ResidentBytes reports the graph's resident memory by component, read
+// from slice and map lengths only, so it is cheap enough for a metrics
+// scrape and safe beside a running build. A map-backed pair lookup
+// counts its keys and values, not the map's own table.
+func (g *Bipartite) ResidentBytes() Resident {
+	r := Resident{V1: g.adj1.bytes()}
+	if a2 := g.adj2.Load(); a2 != nil {
+		r.V2 = a2.bytes()
+	}
+	if l := g.pair.Load(); l != nil {
+		r.PairWeights = 8*int64(len(l.dense)) + 16*int64(len(l.m))
+	}
+	return r
 }
 
 // denseLookupEntries caps the n1*n2 product for which PairWeights uses a
@@ -504,21 +622,27 @@ func (l *PairLookup) DenseMatrix() ([]float64, int) {
 // build instead of paying O(|E|) each.
 func (g *Bipartite) PairWeights() *PairLookup {
 	g.pairOnce.Do(func() {
+		a := g.adj1
 		l := &PairLookup{n2: g.n2}
 		if cells := g.n1 * g.n2; cells > 0 && cells <= denseLookupEntries {
 			l.dense = make([]float64, cells)
-			for _, e := range g.edges {
-				l.dense[int(e.U)*g.n2+int(e.V)] = e.W
+			for u := 0; u < g.n1; u++ {
+				row := l.dense[u*g.n2 : (u+1)*g.n2]
+				for k := a.Off[u]; k < a.Off[u+1]; k++ {
+					row[a.Opp[k]] = a.W[k]
+				}
 			}
 		} else {
-			l.m = make(map[int64]float64, len(g.edges))
-			for _, e := range g.edges {
-				l.m[pairKey(e.U, e.V)] = e.W
+			l.m = make(map[int64]float64, len(a.Opp))
+			for u := int32(0); int(u) < g.n1; u++ {
+				for k := a.Off[u]; k < a.Off[u+1]; k++ {
+					l.m[pairKey(u, a.Opp[k])] = a.W[k]
+				}
 			}
 		}
-		g.pair = l
+		g.pair.Store(l)
 	})
-	return g.pair
+	return g.pair.Load()
 }
 
 func pairKey(u, v NodeID) int64 { return int64(u)<<32 | int64(uint32(v)) }
@@ -528,7 +652,7 @@ func pairKey(u, v NodeID) int64 { return int64(u)<<32 | int64(uint32(v)) }
 // paper's experimental setup (Section 5). If all weights are equal, they
 // all become 1.
 func (g *Bipartite) NormalizeMinMax() *Bipartite {
-	edges := slices.Clone(g.edges)
+	edges := g.Edges()
 	rescaleMinMax(edges)
 	return newBipartite(g.n1, g.n2, edges)
 }
@@ -539,31 +663,47 @@ func (g *Bipartite) Density() float64 {
 	if g.n1 == 0 || g.n2 == 0 {
 		return 0
 	}
-	return float64(len(g.edges)) / (float64(g.n1) * float64(g.n2))
+	return float64(g.NumEdges()) / (float64(g.n1) * float64(g.n2))
 }
 
 // Validate checks structural invariants and returns nil on a
-// well-formed graph: every weight is finite, no edge is duplicated,
+// well-formed graph: the V1 rows are laid out over n1 nodes, every
+// neighbor is a V2 node, every weight is finite, no edge is duplicated,
 // and each side's adjacency lists hold exactly the edges, with
 // bit-identical weights, in (weight descending, neighbor ascending)
 // order. It is test support: the property tests and fuzz targets of
 // this package and internal/simgraph's tests call it.
 func (g *Bipartite) Validate() error {
-	weights := make(map[int64]float64, len(g.edges))
-	for _, e := range g.edges {
-		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
-			return fmt.Errorf("graph: non-finite weight %v for edge (%d,%d)", e.W, e.U, e.V)
-		}
-		k := pairKey(e.U, e.V)
-		if _, dup := weights[k]; dup {
-			return fmt.Errorf("graph: duplicate edge (%d,%d)", e.U, e.V)
-		}
-		weights[k] = e.W
+	a1 := g.adj1
+	m := len(a1.Opp)
+	if len(a1.Off) != g.n1+1 || a1.Off[0] != 0 || int(a1.Off[g.n1]) != m || len(a1.W) != m {
+		return fmt.Errorf("graph: V1 adjacency size mismatch")
 	}
-	a1, a2 := g.Adjacency()
+	weights := make(map[int64]float64, m)
+	for u := int32(0); int(u) < g.n1; u++ {
+		lo, hi := a1.Off[u], a1.Off[u+1]
+		if lo > hi {
+			return fmt.Errorf("graph: V1 offsets decrease at node %d", u)
+		}
+		for k := lo; k < hi; k++ {
+			v, w := a1.Opp[k], a1.W[k]
+			if v < 0 || int(v) >= g.n2 {
+				return fmt.Errorf("graph: node %d out of range for V2 of size %d", v, g.n2)
+			}
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return fmt.Errorf("graph: non-finite weight %v for edge (%d,%d)", w, u, v)
+			}
+			key := pairKey(u, v)
+			if _, dup := weights[key]; dup {
+				return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
+			}
+			weights[key] = w
+		}
+	}
 	if err := validateSide(a1, g.n1, false, weights); err != nil {
 		return err
 	}
+	_, a2 := g.Adjacency()
 	return validateSide(a2, g.n2, true, weights)
 }
 

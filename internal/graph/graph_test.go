@@ -115,15 +115,14 @@ func TestEdgesByWeight(t *testing.T) {
 	g := paperGraph(t)
 	order := g.EdgesByWeight()
 	prev := math.Inf(1)
-	for _, ei := range order {
-		w := g.Edge(ei).W
-		if w > prev {
-			t.Fatalf("EdgesByWeight not descending: %v after %v", w, prev)
+	for _, e := range order {
+		if e.W > prev {
+			t.Fatalf("EdgesByWeight not descending: %v after %v", e.W, prev)
 		}
-		prev = w
+		prev = e.W
 	}
-	if g.Edge(order[0]).W != 0.9 {
-		t.Fatalf("top edge weight = %v, want 0.9", g.Edge(order[0]).W)
+	if order[0].W != 0.9 {
+		t.Fatalf("top edge weight = %v, want 0.9", order[0].W)
 	}
 }
 
@@ -384,7 +383,7 @@ func TestPairLookupMatchesWeight(t *testing.T) {
 
 // NormalizeMinMax must equal a from-scratch build of the rescaled edges
 // in checksum, both sides' adjacency and the by-weight order, whether or
-// not the source graph's index was built first.
+// not the source graph's V2 side was built first.
 func TestNormalizeMinMaxMatchesRebuild(t *testing.T) {
 	cases := []func() *Bipartite{
 		func() *Bipartite { return randomTestGraph(5, 15, 25, 120) },
@@ -441,9 +440,16 @@ func TestNormalizeMinMaxMatchesRebuild(t *testing.T) {
 }
 
 // Each side's adjacency must list exactly the graph's edges, node by
-// node, in (weight descending, neighbor ascending) order.
+// node, in (weight descending, neighbor ascending) order, for rows short
+// enough to sort by insertion and rows long enough for the radix sort.
 func TestAdjacencyMatchesEdges(t *testing.T) {
-	g := randomTestGraph(6, 30, 20, 200)
+	for _, g := range []*Bipartite{randomTestGraph(6, 30, 20, 200), randomTestGraph(7, 5, 400, 1500)} {
+		checkAdjacencyMatchesEdges(t, g)
+	}
+}
+
+func checkAdjacencyMatchesEdges(t *testing.T, g *Bipartite) {
+	t.Helper()
 	a1, a2 := g.Adjacency()
 	for _, side := range []struct {
 		a     Adjacency
@@ -520,6 +526,15 @@ func comparatorByWeight(edges []Edge) []int32 {
 	return idx
 }
 
+// edgeKeys are the radix keys of the edges' weights.
+func edgeKeys(edges []Edge) []uint64 {
+	keys := make([]uint64, len(edges))
+	for i, e := range edges {
+		keys[i] = descKey(e.W)
+	}
+	return keys
+}
+
 func TestRadixByWeightMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
@@ -548,7 +563,7 @@ func TestRadixByWeightMatchesComparator(t *testing.T) {
 		for i := range got {
 			got[i] = int32(i)
 		}
-		radixSortByWeightDesc(edges, got)
+		got = radixSort(edgeKeys(edges), make([]uint64, len(edges)), got, make([]int32, len(edges)))
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: permutation diverges at %d: %d vs %d", trial, i, got[i], want[i])
@@ -572,7 +587,7 @@ func TestRadixByWeightNegativeZero(t *testing.T) {
 	for i := range got {
 		got[i] = int32(i)
 	}
-	radixSortByWeightDesc(edges, got)
+	got = radixSort(edgeKeys(edges), make([]uint64, len(edges)), got, make([]int32, len(edges)))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("-0/+0 tie-break diverges at %d: %d vs %d", i, got[i], want[i])
@@ -652,14 +667,91 @@ func TestBuildNormalizedMatchesTwoStep(t *testing.T) {
 		if fused.Checksum() != twoStep.Checksum() {
 			t.Fatalf("iter %d: checksum %016x != %016x", iter, fused.Checksum(), twoStep.Checksum())
 		}
-		fw, tw := fused.EdgesByWeight(), twoStep.EdgesByWeight()
-		for k := range tw {
-			if fused.Edge(fw[k]) != twoStep.Edge(tw[k]) {
-				t.Fatalf("iter %d: by-weight order diverges at %d", iter, k)
-			}
+		if !slices.Equal(fused.EdgesByWeight(), twoStep.EdgesByWeight()) {
+			t.Fatalf("iter %d: by-weight order diverges", iter)
 		}
 		if err := fused.Validate(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// ResidentBytes counts each component from its lengths: 12 bytes an edge
+// plus 4(n+1) of offsets a side, 8 bytes a cell for a dense pair lookup
+// and 16 an entry for a map-backed one. No read but Adjacency builds
+// the V2 side, and only its first call does.
+func TestResidentBytes(t *testing.T) {
+	g := paperGraph(t) // 5 x 4, 5 edges
+	v1 := Resident{V1: 12*5 + 4*(5+1)}
+	if got := g.ResidentBytes(); got != v1 {
+		t.Fatalf("constructed: %+v, want %+v", got, v1)
+	}
+	var buf strings.Builder
+	if err := g.WriteEdgeList(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g.Checksum()
+	g.Edges()
+	g.EdgesByWeight()
+	g.Weight(4, 0)
+	g.NormalizeMinMax()
+	g.Rows()
+	if got := g.ResidentBytes(); got != v1 {
+		t.Fatalf("after the readers that need no V2 side: %+v, want %+v", got, v1)
+	}
+	_, a2 := g.Adjacency()
+	both := Resident{V1: v1.V1, V2: 12*5 + 4*(4+1)}
+	if got := g.ResidentBytes(); got != both {
+		t.Fatalf("after Adjacency: %+v, want %+v", got, both)
+	}
+	if _, again := g.Adjacency(); &again.Opp[0] != &a2.Opp[0] || &again.Off[0] != &a2.Off[0] {
+		t.Fatal("a second Adjacency call built the V2 side again")
+	}
+	g.PairWeights()
+	both.PairWeights = 8 * 5 * 4
+	if got := g.ResidentBytes(); got != both {
+		t.Fatalf("after PairWeights: %+v, want %+v", got, both)
+	}
+
+	big := randomTestGraph(4, 1<<11, 1<<10, 500) // n1*n2 > denseLookupEntries -> map
+	big.PairWeights()
+	m := int64(big.NumEdges())
+	want := Resident{V1: 12*m + 4*(1<<11+1), PairWeights: 16 * m}
+	if got := big.ResidentBytes(); got != want {
+		t.Fatalf("map-backed lookup: %+v, want %+v", got, want)
+	}
+}
+
+// A rescale that maps distinct weights of one row onto one value must
+// leave that row in neighbor order: both normalizing routes re-sort, on
+// both sides, rather than keep the order the old weights gave.
+func TestRescaleTiesRowOrder(t *testing.T) {
+	// Beside -1e16 the span is 1e16, and 1e16 + 0.25 and 1e16 + 0.75
+	// both round to 1e16: 0.25 and 0.75 both rescale to 1.
+	edges := []Edge{{0, 0, 0.25}, {0, 1, 0.75}, {1, 0, 0.75}, {1, 2, -1e16}}
+	g := mustGraph(t, 2, 3, edges)
+	a1, a2 := g.Adjacency()
+	if a1.Opp[0] != 1 || a2.Opp[0] != 1 {
+		t.Fatalf("before rescaling, row 0 of V1 starts %d and of V2 %d, want 1 and 1", a1.Opp[0], a2.Opp[0])
+	}
+	b := NewBuilder(2, 3)
+	for _, e := range edges {
+		b.Add(e.U, e.V, e.W)
+	}
+	fused, err := b.BuildNormalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*Bipartite{"NormalizeMinMax": g.NormalizeMinMax(), "BuildNormalized": fused} {
+		if err := n.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n1, n2 := n.Adjacency()
+		for side, a := range map[string]Adjacency{"V1": n1, "V2": n2} {
+			lo, hi := a.Off[0], a.Off[1]
+			if !slices.Equal(a.Opp[lo:hi], []int32{0, 1}) || !slices.Equal(a.W[lo:hi], []float64{1, 1}) {
+				t.Fatalf("%s: %s row 0 = %v %v, want [0 1] [1 1]", name, side, a.Opp[lo:hi], a.W[lo:hi])
+			}
 		}
 	}
 }

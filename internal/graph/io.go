@@ -47,27 +47,33 @@ const (
 
 // encodeEdgeList produces WriteEdgeList's bytes with strconv appends
 // into one reused buffer, passing each chunk of whole lines to emit; a
-// chunk is valid only until emit returns. It stops at emit's first
-// error.
+// chunk is valid only until emit returns. It walks the rows in (U,V)
+// order and stops at emit's first error.
 func (g *Bipartite) encodeEdgeList(emit func(chunk []byte) error) error {
 	b := make([]byte, 0, edgeListChunk)
 	b = strconv.AppendInt(b, int64(g.n1), 10)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(g.n2), 10)
 	b = append(b, '\n')
-	for _, e := range g.edges {
-		if len(b) > edgeListChunk-maxEdgeLine {
-			if err := emit(b); err != nil {
-				return err
+	err := g.rowsUV(func(row []Edge) error {
+		for _, e := range row {
+			if len(b) > edgeListChunk-maxEdgeLine {
+				if err := emit(b); err != nil {
+					return err
+				}
+				b = b[:0]
 			}
-			b = b[:0]
+			b = strconv.AppendInt(b, int64(e.U), 10)
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(e.V), 10)
+			b = append(b, ' ')
+			b = strconv.AppendFloat(b, e.W, 'g', -1, 64)
+			b = append(b, '\n')
 		}
-		b = strconv.AppendInt(b, int64(e.U), 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(e.V), 10)
-		b = append(b, ' ')
-		b = strconv.AppendFloat(b, e.W, 'g', -1, 64)
-		b = append(b, '\n')
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	return emit(b)
 }

@@ -65,9 +65,9 @@ func TestEdgeListRoundTripProperty(t *testing.T) {
 		if back.NumEdges() != g.NumEdges() {
 			t.Fatalf("seed %d: %d edges, want %d", tc.seed, back.NumEdges(), g.NumEdges())
 		}
+		backEdges := back.Edges()
 		for i, e := range g.Edges() {
-			r := back.Edges()[i]
-			if r != e {
+			if r := backEdges[i]; r != e {
 				t.Fatalf("seed %d: edge %d = %+v, want %+v", tc.seed, i, r, e)
 			}
 		}

@@ -85,13 +85,12 @@ func (q QMatcher) Match(g *graph.Bipartite, t float64) []core.Pair {
 	}
 
 	// The edge stream: above-threshold edges in descending weight.
-	var stream []graph.Edge
-	for _, ei := range g.EdgesByWeight() {
-		e := g.Edge(ei)
+	stream := g.EdgesByWeight()
+	for i, e := range stream {
 		if !(e.W > t) {
+			stream = stream[:i]
 			break
 		}
-		stream = append(stream, e)
 	}
 	if len(stream) == 0 {
 		return nil

@@ -847,6 +847,12 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no graph %q", req.Graph)
 		return
 	}
+	// A sweep picks each algorithm's best threshold by F1; without
+	// ground truth every F1 is 0 and the "best" is an artifact.
+	if e.GT == nil || e.GT.Len() == 0 {
+		writeError(w, http.StatusBadRequest, "graph %q has no ground truth to score a sweep against", req.Graph)
+		return
+	}
 	algorithms := req.Algorithms
 	if len(algorithms) == 0 {
 		algorithms = core.Names()

@@ -30,6 +30,7 @@ const (
 var erserveJSONKeys = map[string]string{
 	"uptime_seconds": kindNumber, "requests_total": kindNumber, "errors_total": kindNumber,
 	"graphs_stored": kindNumber, "graphs_created_total": kindNumber,
+	"graph_resident_bytes": kindObject,
 	"match_requests_total": kindNumber, "matchings_run_total": kindNumber,
 	"sweeps_created_total": kindNumber,
 	"cache_hits_total":     kindNumber, "cache_misses_total": kindNumber,
@@ -85,6 +86,7 @@ var erserveFamilies = []string{
 	"ccer_generate_pairs_visited_total counter family Kernel blocks computed during generation, by weight family.",
 	"ccer_generate_seconds histogram family Latency of one similarity-graph generation, by weight family.",
 	"ccer_generates_total counter family Similarity-graph generations, by weight family.",
+	"ccer_graph_resident_bytes gauge component Resident bytes of the stored graphs, by component: V1 rows, and V2 rows and pair lookups once built.",
 	"ccer_graphs_created_total counter - Graphs committed to the store.",
 	"ccer_graphs_stored gauge - Graphs currently in the store.",
 	"ccer_http_request_seconds histogram - HTTP request wall time.",
@@ -376,6 +378,21 @@ func TestMetricsViewsPinned(t *testing.T) {
 			}
 		}
 
+		// The stored graphs hold their V1 rows, 12 bytes an edge plus
+		// 4(n1+1) of offsets. UMC reads only those rows, and the stalled
+		// CNC never ran, so no graph has built its V2 side or a pair
+		// lookup.
+		var listing struct {
+			Graphs []graphInfoJSON `json:"graphs"`
+		}
+		if code := c.do(http.MethodGet, "/v1/graphs", nil, &listing); code != http.StatusOK {
+			t.Fatalf("list: status %d", code)
+		}
+		v1Rows := 0.0
+		for _, g := range listing.Graphs {
+			v1Rows += float64(12*g.Edges + 4*(g.N1+1))
+		}
+
 		view := c.jsonView()
 		checkKeys(t, view, erserveJSONKeys, erserveExtraKeys)
 		sent := float64(c.sent)
@@ -387,6 +404,7 @@ func TestMetricsViewsPinned(t *testing.T) {
 			"client_disconnects_total":     0.0,
 			"graphs_stored":                17.0,
 			"graphs_created_total":         17.0,
+			"graph_resident_bytes":         map[string]float64{"v1_rows": v1Rows, "v2_rows": 0, "pair_weights": 0},
 			"match_requests_total":         3.0,
 			"matchings_run_total":          1.0,
 			"sweeps_created_total":         1.0,

@@ -63,6 +63,12 @@ func (s *Server) initObs() {
 		func() float64 { return r.Uptime().Seconds() })
 	r.GaugeFunc("ccer_graphs_stored", "Graphs currently in the store.",
 		func() float64 { return float64(s.store.Len()) })
+	r.LabeledGaugeFunc("ccer_graph_resident_bytes",
+		"Resident bytes of the stored graphs, by component: V1 rows, and V2 rows and pair lookups once built.",
+		"component", func() map[string]int64 {
+			b := s.store.ResidentBytes()
+			return map[string]int64{"v1_rows": b.V1, "v2_rows": b.V2, "pair_weights": b.PairWeights}
+		})
 
 	r.CounterFunc("ccer_cache_hits_total", "Match result cache hits.", func() int64 {
 		hits, _, _ := s.cache.Stats()

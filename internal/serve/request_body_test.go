@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ccer-go/ccer/internal/cluster"
 	"github.com/ccer-go/ccer/internal/core"
 	"github.com/ccer-go/ccer/internal/graph"
 	"github.com/ccer-go/ccer/internal/serve"
@@ -48,6 +50,7 @@ func errorBody(body []byte) string {
 func TestJSONBodyRejectsTrailingData(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{JobWorkers: 1})
 	postEdgeList(t, ts.URL+"/v1/graphs?name=g", tinyGraph())
+	generateD2(t, ts.URL, "d2") // a sweep needs ground truth
 
 	type counters struct {
 		GraphsStored  int   `json:"graphs_stored"`
@@ -80,7 +83,7 @@ func TestJSONBodyRejectsTrailingData(t *testing.T) {
 	}{
 		{"/v1/match", `{"graph":"g","algorithms":["KRC"]}`, "bad match request", http.StatusOK},
 		{"/v1/graphs", `{"name":"gen","dataset":"D2","seed":3,"scale":0.02}`, "bad generate request", http.StatusCreated},
-		{"/v1/sweeps", `{"graph":"g","algorithms":["KRC"]}`, "bad sweep request", http.StatusAccepted},
+		{"/v1/sweeps", `{"graph":"d2","algorithms":["KRC"]}`, "bad sweep request", http.StatusAccepted},
 	}
 	for _, rt := range routes {
 		for _, tail := range []string{"x", `{"graph":"g"}`, " {}", "]", "\n]"} {
@@ -104,8 +107,9 @@ func TestJSONBodyRejectsTrailingData(t *testing.T) {
 }
 
 // FuzzSweepRequest posts raw bodies to POST /v1/sweeps through the
-// handler of one server per process, which holds one tiny uploaded
-// graph, and cancels every accepted job at once. Every reply must be
+// handler of one server per process, which holds one small generated
+// graph named g (a sweep needs ground truth), and cancels every
+// accepted job at once. Every reply must be
 // 202, 400, 404 or 503; a rejection is JSON with a non-empty error, and
 // a 503 carries a Retry-After of at least one second. After a 202,
 // GET /v1/sweeps/{id} must return the job pinned to the graph's name
@@ -133,16 +137,13 @@ func FuzzSweepRequest(f *testing.F) {
 		h.ServeHTTP(rec, req)
 		return rec
 	}
-	var wire bytes.Buffer
-	if err := tinyGraph().MustBuild().WriteEdgeList(&wire); err != nil {
-		f.Fatal(err)
-	}
-	up := do(http.MethodPost, "/v1/graphs?name=g", "text/plain", wire.Bytes())
-	if up.Code != http.StatusCreated {
-		f.Fatalf("upload: status %d: %s", up.Code, up.Body)
+	gen := do(http.MethodPost, "/v1/graphs", "application/json",
+		[]byte(`{"name":"g","dataset":"D2","seed":42,"scale":0.02}`))
+	if gen.Code != http.StatusCreated {
+		f.Fatalf("generate: status %d: %s", gen.Code, gen.Body)
 	}
 	var stored graphInfoJSON
-	if err := json.Unmarshal(up.Body.Bytes(), &stored); err != nil {
+	if err := json.Unmarshal(gen.Body.Bytes(), &stored); err != nil {
 		f.Fatal(err)
 	}
 
@@ -203,4 +204,136 @@ func FuzzSweepRequest(f *testing.F) {
 			t.Fatalf("%q: job seed 0", body)
 		}
 	})
+}
+
+// FuzzGraphUpload posts raw text/plain edge lists to
+// POST /v1/graphs?name=up through the handler of one server per
+// process, whose body cap is 4 KiB. Every reply must be 201, 400 or
+// 413, and a rejection is JSON with a non-empty error. After a 201 the
+// stored edge list, GET /v1/graphs/up?format=edgelist, must parse
+// under the server's node cap to the checksum GET /v1/graphs/up lists,
+// and equal that parse's own WriteEdgeList byte for byte. The corpus
+// in testdata/fuzz holds FuzzReadEdgeList's seeds, duplicate pairs,
+// signed zeros, tied weights, a weight span beyond math.MaxFloat64 and
+// empty graphs.
+func FuzzGraphUpload(f *testing.F) {
+	const maxBody = 4 << 10 // small: the fuzzer minimizes each new input
+	srv, err := serve.New(serve.Config{MaxBodyBytes: maxBody})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Close(ctx); err != nil {
+			f.Errorf("server close: %v", err)
+		}
+	})
+	h := srv.Handler()
+	do := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "text/plain")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	f.Add([]byte("1 1\n#" + strings.Repeat("x", maxBody) + "\n0 0 1\n")) // over the body cap
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := do(http.MethodPost, "/v1/graphs?name=up", body)
+		switch rec.Code {
+		case http.StatusCreated:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if errorBody(rec.Body.Bytes()) == "" {
+				t.Fatalf("%q: status %d without a JSON error: %q", body, rec.Code, rec.Body)
+			}
+			return
+		default:
+			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		info := do(http.MethodGet, "/v1/graphs/up", nil)
+		var listed graphInfoJSON
+		if info.Code != http.StatusOK || json.Unmarshal(info.Body.Bytes(), &listed) != nil {
+			t.Fatalf("%q: GET /v1/graphs/up: status %d: %q", body, info.Code, info.Body)
+		}
+		el := do(http.MethodGet, "/v1/graphs/up?format=edgelist", nil)
+		if el.Code != http.StatusOK {
+			t.Fatalf("%q: edge list: status %d: %q", body, el.Code, el.Body)
+		}
+		g, err := graph.ReadEdgeListMax(bytes.NewReader(el.Body.Bytes()), 1<<21)
+		if err != nil {
+			t.Fatalf("%q: stored edge list %q does not parse: %v", body, el.Body, err)
+		}
+		if sum := fmt.Sprintf("%016x", g.Checksum()); sum != listed.Checksum {
+			t.Fatalf("%q: stored edge list parses to checksum %s, listed %s", body, sum, listed.Checksum)
+		}
+		var again bytes.Buffer
+		if err := g.WriteEdgeList(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), el.Body.Bytes()) {
+			t.Fatalf("%q: stored edge list %q re-encodes as %q", body, el.Body, again.Bytes())
+		}
+	})
+}
+
+// TestSweepRequiresGroundTruth: a sweep picks each algorithm's best
+// threshold by F1 against the graph's ground truth, so over an uploaded
+// graph, which has none, POST /v1/sweeps answers 400 and queues
+// nothing, on a node and through the router. A generated graph on the
+// same node is still swept.
+func TestSweepRequiresGroundTruth(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{JobWorkers: 1})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{
+		Backends:       []string{ts.URL},
+		HedgeAfter:     time.Minute,
+		RepairInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer func() {
+		front.Close()
+		rt.Close()
+	}()
+	postEdgeList(t, ts.URL+"/v1/graphs?name=up", tinyGraph())
+	generateD2(t, ts.URL, "d2")
+
+	created := func() int64 {
+		var c struct {
+			SweepsCreated int64 `json:"sweeps_created_total"`
+		}
+		doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &c)
+		return c.SweepsCreated
+	}
+	sweep := func(base, graph string) (int, string) {
+		t.Helper()
+		body := `{"graph":"` + graph + `","algorithms":["UMC"]}`
+		resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, errorBody(raw)
+	}
+	const want = `graph "up" has no ground truth to score a sweep against`
+	for _, base := range []string{ts.URL, front.URL} {
+		if code, msg := sweep(base, "up"); code != http.StatusBadRequest || msg != want {
+			t.Fatalf("sweep of an upload via %s: status %d, error %q; want 400 %q", base, code, msg, want)
+		}
+		if n := created(); n != 0 {
+			t.Fatalf("sweeps_created_total = %d after a refused sweep, want 0", n)
+		}
+	}
+	if code, msg := sweep(ts.URL, "d2"); code != http.StatusAccepted {
+		t.Fatalf("sweep of a generated graph: status %d, error %q; want 202", code, msg)
+	}
+	if n := created(); n != 1 {
+		t.Fatalf("sweeps_created_total = %d after one accepted sweep, want 1", n)
+	}
 }

@@ -42,8 +42,8 @@ type GraphEntry struct {
 	// Graph is the immutable similarity graph itself.
 	Graph *graph.Bipartite
 	// GT is the ground truth when the graph came from a generated task;
-	// nil for uploaded edge lists. Sweeps and match metrics degrade to
-	// zero scores without it.
+	// nil for uploaded edge lists. Without it match replies carry no
+	// metrics and sweeps are refused, since there is nothing to score.
 	GT *dataset.GroundTruth
 	// Source records provenance: "upload" or "generate".
 	Source string
@@ -315,6 +315,21 @@ func (s *Store) Tombstones() map[string]int64 {
 		out[name] = v
 	}
 	return out
+}
+
+// ResidentBytes sums the stored graphs' resident bytes by component
+// (graph.Bipartite.ResidentBytes).
+func (s *Store) ResidentBytes() graph.Resident {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var sum graph.Resident
+	for _, e := range s.entries {
+		r := e.Graph.ResidentBytes()
+		sum.V1 += r.V1
+		sum.V2 += r.V2
+		sum.PairWeights += r.PairWeights
+	}
+	return sum
 }
 
 // Len returns the number of stored graphs.

@@ -333,16 +333,19 @@ func filterNoMatchGraphs(graphs []SimGraph, gt *dataset.GroundTruth) []SimGraph 
 }
 
 // hasMatchEdge reports whether any ground-truth pair is an edge of g,
-// walking the graph's edge set against the GT lookup with an early exit
-// on the first hit. It deliberately avoids the adjacency probes: the
-// graph's matching indexes are built lazily, and the cleaning filter
-// must not force them for graphs whose only consumer is this check. A
-// nil gt panics (as the seed implementation did) rather than silently
-// classifying every graph as no-match.
+// walking the graph's V1 rows against the GT lookup with an early exit
+// on the first hit. It reads the rows alone: the V2 side is built
+// lazily, and the cleaning filter must not force it for graphs whose
+// only consumer is this check. A nil gt panics (as the seed
+// implementation did) rather than silently classifying every graph as
+// no-match.
 func hasMatchEdge(g *graph.Bipartite, gt *dataset.GroundTruth) bool {
-	for _, e := range g.Edges() {
-		if gt.IsMatch(e.U, e.V) {
-			return true
+	a := g.Rows()
+	for u := int32(0); int(u) < g.N1(); u++ {
+		for _, v := range a.Opp[a.Off[u]:a.Off[u+1]] {
+			if gt.IsMatch(u, v) {
+				return true
+			}
 		}
 	}
 	return false
