@@ -425,9 +425,14 @@ func descKey(w float64) uint64 {
 func radixSort(keys, tmpKeys []uint64, idx, tmpIdx []int32) []int32 {
 	var counts [8][256]int32
 	for _, k := range keys {
-		for p := range counts {
-			counts[p][k>>(8*p)&0xff]++
-		}
+		counts[0][k&0xff]++
+		counts[1][k>>8&0xff]++
+		counts[2][k>>16&0xff]++
+		counts[3][k>>24&0xff]++
+		counts[4][k>>32&0xff]++
+		counts[5][k>>40&0xff]++
+		counts[6][k>>48&0xff]++
+		counts[7][k>>56]++
 	}
 	n := int32(len(keys))
 	for p := range counts {
