@@ -19,6 +19,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"github.com/ccer-go/ccer/internal/par"
 )
 
 // NodeID identifies a node within one side of a bipartite graph.
@@ -344,23 +346,48 @@ func newAdjacency(nodes, edges int) Adjacency {
 	}
 }
 
+// parallelRowsMin is the entry count from which sortRows fans its rows
+// out over every CPU: a graph that large takes milliseconds to sort,
+// and graph assembly otherwise runs on one core.
+const parallelRowsMin = 1 << 16
+
+// rowBlock is the number of rows a sortRows worker takes at a time.
+const rowBlock = 64
+
 // sortRows sorts each row of a whose neighbors ascend by descending
 // weight, stably, into (weight descending, neighbor ascending) order.
 func sortRows(a Adjacency) {
-	var s weightSorter
-	var opp []int32
-	var w []float64
-	for x := 0; x+1 < len(a.Off); x++ {
-		lo, hi := a.Off[x], a.Off[x+1]
-		if hi-lo < 2 {
-			continue
+	rows := len(a.Off) - 1
+	workers := 1
+	if len(a.Opp) >= parallelRowsMin {
+		workers = par.Workers(0)
+	}
+	sorters := make([]rowSorter, workers)
+	par.For((rows+rowBlock-1)/rowBlock, workers, nil, func(w, blk int) {
+		s := &sorters[w]
+		for x := blk * rowBlock; x < min(rows, (blk+1)*rowBlock); x++ {
+			s.sortRow(a, a.Off[x], a.Off[x+1])
 		}
-		order := s.byWeightDesc(a.W[lo:hi])
-		opp = append(opp[:0], a.Opp[lo:hi]...)
-		w = append(w[:0], a.W[lo:hi]...)
-		for i, j := range order {
-			a.Opp[lo+int32(i)], a.W[lo+int32(i)] = opp[j], w[j]
-		}
+	})
+}
+
+// rowSorter sorts rows through buffers it reuses from row to row.
+type rowSorter struct {
+	weightSorter
+	opp []int32
+	w   []float64
+}
+
+// sortRow sorts the row a.Opp[lo:hi], a.W[lo:hi] as sortRows does.
+func (s *rowSorter) sortRow(a Adjacency, lo, hi int32) {
+	if hi-lo < 2 {
+		return
+	}
+	order := s.byWeightDesc(a.W[lo:hi])
+	s.opp = append(s.opp[:0], a.Opp[lo:hi]...)
+	s.w = append(s.w[:0], a.W[lo:hi]...)
+	for i, j := range order {
+		a.Opp[lo+int32(i)], a.W[lo+int32(i)] = s.opp[j], s.w[j]
 	}
 }
 
