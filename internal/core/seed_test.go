@@ -110,9 +110,8 @@ func adjList(a graph.Adjacency, x int32) ([]int32, []float64) {
 }
 
 // seedCNC is the previous CNC.Match, kept as a reference: union-find
-// over every above-threshold edge. It reads the by-weight edge list,
-// where it once gathered each edge through the by-weight permutation.
-// CNC.Match must reproduce it pair for pair.
+// over every above-threshold edge of the by-weight edge list. CNC.Match
+// must reproduce it pair for pair.
 func seedCNC(g *graph.Bipartite, t float64) []Pair {
 	n1 := int32(g.N1())
 	n := g.N1() + g.N2()
@@ -161,8 +160,8 @@ func seedCNC(g *graph.Bipartite, t float64) []Pair {
 }
 
 // seedUMC is the previous UMC.Match, kept as a reference: the greedy
-// scan of the by-weight edge list, which it once gathered through the
-// by-weight permutation. UMC.Match must reproduce it pair for pair.
+// scan of the by-weight edge list. UMC.Match must reproduce it pair for
+// pair.
 func seedUMC(g *graph.Bipartite, t float64) []Pair {
 	var b1, b2 [512]bool
 	matched1, matched2 := scratch(b1[:], g.N1()), scratch(b2[:], g.N2())

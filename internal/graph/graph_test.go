@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -753,5 +754,36 @@ func TestRescaleTiesRowOrder(t *testing.T) {
 				t.Fatalf("%s: %s row 0 = %v %v, want [0 1] [1 1]", name, side, a.Opp[lo:hi], a.W[lo:hi])
 			}
 		}
+	}
+}
+
+// The lazy V2 side and pair lookup are built once however many
+// goroutines ask at once, and ResidentBytes may read them meanwhile.
+func TestConcurrentFirstUse(t *testing.T) {
+	g := randomTestGraph(8, 40, 60, 1500)
+	want := g.Checksum()
+	var wg sync.WaitGroup
+	adj := make([]Adjacency, 8)
+	for i := range adj {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.ResidentBytes()
+			_, adj[i] = g.Adjacency()
+			g.PairWeights()
+			g.ResidentBytes()
+			if g.Checksum() != want {
+				t.Error("checksum moved under concurrent use")
+			}
+		}()
+	}
+	wg.Wait()
+	for _, a := range adj[1:] {
+		if &a.Opp[0] != &adj[0].Opp[0] {
+			t.Fatal("the V2 side was built more than once")
+		}
+	}
+	if r := g.ResidentBytes(); r.V2 == 0 || r.PairWeights != 8*40*60 {
+		t.Fatalf("after concurrent first use: %+v", r)
 	}
 }
